@@ -98,6 +98,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 
 from . import apps as apps_mod
@@ -266,6 +268,30 @@ def _cmd_lint(args) -> int:
             for diag in report:
                 print(f"  {diag.render()}")
     return 0 if all(r.ok for r in reports.values()) else 1
+
+
+def _bounded(kind, low: float, strict: bool = True):
+    """Argparse type: a finite ``kind`` value above ``low`` (or equal
+    to it when not ``strict``); anything else is a usage error."""
+    op = ">" if strict else ">="
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not math.isfinite(value) or value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number {op} {low:g}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_positive_float = _bounded(float, 0.0)
+_nonneg_float = _bounded(float, 0.0, strict=False)  # a rate; 0 = no load
+_positive_int = _bounded(int, 0)
 
 
 def _parse_device_at(text: str):
@@ -859,14 +885,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="serve a Poisson request stream")
     p.add_argument("app")
-    p.add_argument("rps", type=float)
+    p.add_argument("rps", type=_nonneg_float)
     p.add_argument("--setting", default="I", choices=("I", "II", "III"))
     p.add_argument(
         "--system",
         default="Heter-Poly",
         choices=("Homo-GPU", "Homo-FPGA", "Heter-Poly"),
     )
-    p.add_argument("--ms", type=float, default=10_000.0)
+    p.add_argument("--ms", type=_positive_float, default=10_000.0)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("codegen", help="emit optimized OpenCL source")
@@ -911,8 +937,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="Heter-Poly",
         choices=("Homo-GPU", "Homo-FPGA", "Heter-Poly"),
     )
-    p.add_argument("--rps", type=float, default=30.0)
-    p.add_argument("--ms", type=float, default=8_000.0)
+    p.add_argument("--rps", type=_nonneg_float, default=30.0)
+    p.add_argument("--ms", type=_positive_float, default=8_000.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--crash",
@@ -954,13 +980,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="node template (repeatable for a heterogeneous fleet); "
         "launches rotate through the given templates",
     )
-    p.add_argument("--hours", type=float, default=24.0, help="trace length")
     p.add_argument(
-        "--interval-s", type=float, default=300.0, help="trace interval"
+        "--hours", type=_positive_float, default=24.0, help="trace length"
+    )
+    p.add_argument(
+        "--interval-s", type=_positive_float, default=300.0,
+        help="trace interval",
     )
     p.add_argument(
         "--compress",
-        type=float,
+        type=_positive_float,
         default=200.0,
         help="time-compression factor for the replay "
         "(200 turns a 300 s trace interval into 1.5 s of simulated time)",
@@ -1046,16 +1075,21 @@ def build_parser() -> argparse.ArgumentParser:
         default="Heter-Poly",
         choices=("Homo-GPU", "Homo-FPGA", "Heter-Poly"),
     )
-    p.add_argument("--trials", type=int, default=3, help="timed trials per stage")
+    p.add_argument(
+        "--trials", type=_positive_int, default=3, help="timed trials per stage"
+    )
     p.add_argument(
         "--n-jobs",
         type=int,
         default=1,
         help="DSE worker processes (-1 = all CPUs)",
     )
-    p.add_argument("--rps", type=float, default=20.0, help="simulation load")
     p.add_argument(
-        "--ms", type=float, default=2_000.0, help="simulated duration per trial"
+        "--rps", type=_positive_float, default=20.0, help="simulation load"
+    )
+    p.add_argument(
+        "--ms", type=_positive_float, default=2_000.0,
+        help="simulated duration per trial",
     )
     p.add_argument("--seed", type=int, default=0, help="arrival-stream seed")
     p.add_argument(
@@ -1136,8 +1170,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="Heter-Poly",
         choices=("Homo-GPU", "Homo-FPGA", "Heter-Poly"),
     )
-    p.add_argument("--rps", type=float, default=20.0)
-    p.add_argument("--ms", type=float, default=4_000.0)
+    p.add_argument("--rps", type=_nonneg_float, default=20.0)
+    p.add_argument("--ms", type=_positive_float, default=4_000.0)
     p.add_argument("--seed", type=int, default=0, help="arrival-stream seed")
     p.add_argument(
         "--out-dir",
@@ -1197,7 +1231,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro ... | head``): stop quietly, and
+        # point stdout at devnull so the exit-time flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -294,7 +294,6 @@ class ClusterSimulation:
         locality_penalty_ms: float = 5.0,
         health_penalty_ms: float = 50.0,
         replan_interval_ms: float = 250.0,
-        engine: str = "event",
         trace_nodes: bool = False,
         sampler=None,
     ) -> None:
@@ -302,9 +301,6 @@ class ClusterSimulation:
             templates = [templates]
         if not templates:
             raise ValueError("need at least one node template")
-        if engine not in ("event", "legacy"):
-            raise ValueError(f"unknown engine {engine!r}")
-        self.engine = engine
         self.templates = list(templates)
         self.app = app
         self.design_spaces = design_spaces
@@ -496,12 +492,11 @@ class ClusterSimulation:
         ``arrivals_ms`` may be an :class:`ArrivalSpec`, realized here
         through the dedicated arrival child stream — the code path
         shared with ``run_simulation``.  The drive loop runs on the
-        global event heap (``engine="event"``, the default): autoscaler
-        evaluations are SCALE events, arrivals are chunked ARRIVAL
-        events split at evaluation boundaries, and each node serves its
-        requests through a persistent :class:`EventHeapEngine` session.
-        ``engine="legacy"`` keeps the original per-arrival loop; seeded
-        runs are float-identical across the two (golden-tested).
+        global event heap: autoscaler evaluations are SCALE events,
+        arrivals are chunked ARRIVAL events split at evaluation
+        boundaries, and each node serves its requests through a
+        persistent :class:`EventHeapEngine` session.  Seeded replays are
+        pinned by checked-in golden digests.
         """
         if isinstance(arrivals_ms, ArrivalSpec):
             arrivals_ms = arrivals_ms.generate(self.arrival_rng())
@@ -615,13 +610,38 @@ class ClusterSimulation:
                 )
             )
 
+        # Event-heap drive: SCALE events carry the evaluation grid
+        # (accumulated by repeated addition, so interval timestamps are
+        # reproducible float-for-float); arrivals go in as chunked
+        # ARRIVAL events split at evaluation boundaries.  Same-time ties
+        # pop SCALE before ARRIVAL: an evaluation at ``t`` closes the
+        # window before the arrivals of that instant are routed.
+        heap = EventHeap()
+        bounds: List[float] = []
+        while next_eval <= horizon:
+            bounds.append(next_eval)
+            next_eval += eval_ms
+        for bound in bounds:
+            heap.push(bound, EventKind.SCALE, None)
+        arr = np.asarray(ordered, dtype=float)
+        i = 0
+        for bound in bounds:
+            j = int(np.searchsorted(arr, bound, side="left"))
+            while i < j:
+                k = min(i + ARRIVAL_CHUNK, j)
+                heap.push(ordered[i], EventKind.ARRIVAL, ordered[i:k])
+                i = k
+        #: One engine session per node, living across its whole service
+        #: life (fault-injected nodes auto-delegate to ``submit``).
+        sessions: Dict[str, EventHeapEngine] = {}
         req_seq = 0
-        if self.engine == "legacy":
-            for t in ordered:
-                while next_eval <= t:
-                    evaluate(next_eval, window_arrivals)
-                    window_arrivals = 0
-                    next_eval += eval_ms
+        while heap:
+            ev = heap.pop()
+            if ev.kind is EventKind.SCALE:
+                evaluate(ev.t_ms, window_arrivals)
+                window_arrivals = 0
+                continue
+            for t in ev.payload:
                 self._promote(t)
                 serving = [
                     n for n in self._nodes if n.state is NodeState.SERVING
@@ -630,69 +650,18 @@ class ClusterSimulation:
                 node = self.dispatcher.route(
                     t, self._signature, serving, req=req_seq
                 )
-                record = node.leaf.submit(t)
+                session = sessions.get(node.node_id)
+                if session is None:
+                    session = EventHeapEngine(node.leaf)
+                    sessions[node.node_id] = session
+                record = session.process(t)
                 node.planned_signatures.add(self._signature)
                 node.served += 1
                 records.append(record)
                 node_ids.append(node.node_id)
                 window_arrivals += 1
-            while next_eval <= horizon:
-                evaluate(next_eval, window_arrivals)
-                window_arrivals = 0
-                next_eval += eval_ms
-        else:
-            # Event-heap drive: SCALE events carry the evaluation grid
-            # (accumulated exactly like the legacy loop, so interval
-            # timestamps match float-for-float); arrivals go in as
-            # chunked ARRIVAL events split at evaluation boundaries.
-            # Same-time ties pop SCALE before ARRIVAL — the taxonomy
-            # order mirrors the legacy ``while next_eval <= t`` drain.
-            heap = EventHeap()
-            bounds: List[float] = []
-            while next_eval <= horizon:
-                bounds.append(next_eval)
-                next_eval += eval_ms
-            for bound in bounds:
-                heap.push(bound, EventKind.SCALE, None)
-            arr = np.asarray(ordered, dtype=float)
-            i = 0
-            for bound in bounds:
-                j = int(np.searchsorted(arr, bound, side="left"))
-                while i < j:
-                    k = min(i + ARRIVAL_CHUNK, j)
-                    heap.push(ordered[i], EventKind.ARRIVAL, ordered[i:k])
-                    i = k
-            #: One engine session per node, living across its whole
-            #: service life (fault-injected nodes auto-delegate to
-            #: ``submit``, keeping chaos replays bit-identical).
-            sessions: Dict[str, EventHeapEngine] = {}
-            while heap:
-                ev = heap.pop()
-                if ev.kind is EventKind.SCALE:
-                    evaluate(ev.t_ms, window_arrivals)
-                    window_arrivals = 0
-                    continue
-                for t in ev.payload:
-                    self._promote(t)
-                    serving = [
-                        n for n in self._nodes if n.state is NodeState.SERVING
-                    ]
-                    req_seq += 1
-                    node = self.dispatcher.route(
-                        t, self._signature, serving, req=req_seq
-                    )
-                    session = sessions.get(node.node_id)
-                    if session is None:
-                        session = EventHeapEngine(node.leaf)
-                        sessions[node.node_id] = session
-                    record = session.process(t)
-                    node.planned_signatures.add(self._signature)
-                    node.served += 1
-                    records.append(record)
-                    node_ids.append(node.node_id)
-                    window_arrivals += 1
-            for session in sessions.values():
-                session.finalize()
+        for session in sessions.values():
+            session.finalize()
 
         result = self._assemble(
             records, node_ids, intervals, up_lags, down_lags, horizon, eval_ms

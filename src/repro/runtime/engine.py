@@ -7,10 +7,10 @@ single global event heap and an incremental-EST fast path:
 
 * **One event stream.** All simulation time advances through an
   :class:`EventHeap` of typed :class:`EventKind` events — arrivals
-  (batched into chunks), autoscaler scale evaluations (cluster driver),
-  fault/heartbeat delivery (delegated runs) and kernel completions
-  (validation mode).  Same-time events pop in taxonomy order, FIFO
-  within a kind, so interleavings are deterministic by construction.
+  (batched into chunks) and autoscaler scale evaluations (cluster
+  driver).  Same-time events pop in taxonomy order, FIFO within a kind,
+  so interleavings are deterministic by construction; the drive loop
+  asserts that pops never go back in time.
 
 * **Incremental EST tables.** Per plan, the engine compiles each
   kernel's dispatch entries once — batch-1..``MAX_GPU_BATCH`` latency/
@@ -23,16 +23,16 @@ single global event heap and an incremental-EST fast path:
   always see fresh state.
 
 * **The bit-identity contract.** Seeded runs are float-identical to the
-  legacy loop: the fast path replays the exact float expressions of
-  ``LeafNode._execute_kernel_fast`` (itself golden-tested against the
-  plain path), draws noise from the same buffered log-normal stream
-  (numpy's vectorized draws match scalar draws bit-for-bit — the
-  PR 5 replay technique), and folds the monitor's EWMA correction
-  inline with identical arithmetic.  Runs the fast path cannot replay
-  exactly — fault injection (extra RNG consumers, heartbeats) — are
-  *delegated*: the heap still orders the arrivals, but each one
-  executes through ``LeafNode.submit`` itself, which is trivially
-  identical.
+  per-request reference path (``LeafNode.submit`` →
+  ``_execute_kernel``/``_allocate``): the generated program replays
+  its decisions and float expressions (same finish estimates, same
+  device-id tie-breaks, same overflow rule), draws noise from a
+  buffered log-normal stream (numpy's vectorized draws match scalar
+  draws bit-for-bit), and folds the monitor's EWMA correction inline
+  with identical arithmetic.  Runs the program cannot replay exactly —
+  fault injection (extra RNG consumers, heartbeats) — are *delegated*:
+  the heap still orders the arrivals, but each one executes through
+  ``LeafNode.submit`` itself, which is trivially identical.
 
 * **Native tracing.** An enabled tracer no longer delegates: the
   engine swaps a :class:`_BufferTracer` onto the node (and its
@@ -45,9 +45,10 @@ single global event heap and an incremental-EST fast path:
   while keeping most of the engine speedup (gated by ``repro bench
   --suite obs``).
 
-Golden A/B tests (``tests/test_engine.py``) hold the two engines
-bit-identical on seeded fault-free and chaos runs; ``repro bench
---suite sim`` gates the speedup.
+Checked-in golden digests (``tests/test_golden_digests.py``) hold both
+``run_simulation`` engines to the same floats on seeded fault-free,
+plan-cached, chaos and traced runs; ``repro bench --suite sim`` gates
+the speedup.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ __all__ = ["EventKind", "Event", "EventHeap", "EventHeapEngine"]
 
 #: Arrivals are pushed in chunks of this size: one heap transaction
 #: amortizes over many requests while staying interruptible by
-#: earlier-timestamped events (completions in validation mode).
+#: earlier-timestamped events (the cluster driver's scale evaluations).
 ARRIVAL_CHUNK = 1024
 
 #: Process-wide cache of compiled dispatch-program code objects, keyed
@@ -79,8 +80,8 @@ _CODE_CACHE: Dict[str, object] = {}
 class EventKind(IntEnum):
     """Typed simulation events.  The integer value doubles as the
     tie-break priority at equal timestamps: scale evaluations run
-    before the arrivals of the same instant (matching the legacy
-    ``while next_eval <= t`` drain), completions free devices before
+    before the arrivals of the same instant (an evaluation at ``t``
+    covers the window ending at ``t``), completions free devices before
     same-time arrivals see them, dispatches trail their arrival."""
 
     SCALE = 0
@@ -209,15 +210,11 @@ class EventHeapEngine:
     delegated stream (golden-tested) at a fraction of its cost.
     """
 
-    def __init__(self, node: LeafNode, validate: bool = False) -> None:
+    def __init__(self, node: LeafNode) -> None:
         self._node = node
-        self._validate = validate
         self.delegated = node._injector is not None
         self._traced = node.tracer.enabled and not self.delegated
         self.heap = EventHeap()
-        #: Validation-mode accounting (see :meth:`run`).
-        self.dispatched = 0
-        self.completions_drained = 0
         self._last_pop_ms = -float("inf")
 
         mon = node.monitor
@@ -247,10 +244,8 @@ class EventHeapEngine:
         }
         self._rows: Dict[int, list] = {}
         self._compiled: Dict[int, tuple] = {}
-        self._steps: list = []
-        #: Compiled dispatch program for the current plan (codegen path).
+        #: Compiled dispatch program for the current plan.
         self._fn: Any = None
-        self._codegen_src = ""
         self._plan_ok = False
         self._win = 0.0
         self._makespan = 0.0
@@ -260,9 +255,7 @@ class EventHeapEngine:
         self._kindex = {name: i for i, name in enumerate(order)}
         self._ends_t = [0.0] * len(order)
         self._ends_dev: List[object] = [None] * len(order)
-        sinks = tuple(self._kindex[s] for s in node._sinks)
-        self._sinks = sinks
-        self._single_sink = sinks[0] if len(sinks) == 1 else -1
+        self._sinks = tuple(self._kindex[s] for s in node._sinks)
         self._finalized = False
 
         #: Native-tracing state: the trace buffer, the real tracer, and
@@ -291,11 +284,9 @@ class EventHeapEngine:
     ) -> List[RequestRecord]:
         """Replay a sorted arrival stream and return its request records.
 
-        Fast-path runs push the stream as chunked ARRIVAL events (and,
-        in validation mode, one KERNEL_COMPLETE per dispatch, checked
-        for monotone pop order and conservation against the dispatch
-        count).  Delegated runs push one ARRIVAL per request and submit
-        each through the node.
+        Fast-path runs push the stream as chunked ARRIVAL events,
+        checked for monotone pop order.  Delegated runs push one
+        ARRIVAL per request and submit each through the node.
         """
         heap = self.heap
         if self.delegated:
@@ -330,11 +321,8 @@ class EventHeapEngine:
                     f"{self._last_pop_ms}"
                 )
             self._last_pop_ms = ev.t_ms
-            if ev.kind is EventKind.ARRIVAL:
-                chunk, prios = ev.payload
-                self._process_chunk(chunk, prios)
-            elif ev.kind is EventKind.KERNEL_COMPLETE:
-                self.completions_drained += 1
+            chunk, prios = ev.payload
+            self._process_chunk(chunk, prios)
         self.finalize()
         return self.records()
 
@@ -465,10 +453,12 @@ class EventHeapEngine:
     def _compile(self, plan) -> list:
         """Compile the active plan into per-kernel dispatch steps.
 
-        Same sources as ``LeafNode._compiled_table`` (live platform
-        pools, the shared latency cache), extended with the full
-        per-batch GPU ladder so joins never call back into the model,
-        and with predecessor/transfer indices resolved to integers.
+        Same sources as ``LeafNode._allocate`` (the plan's platforms in
+        preference order, live platform pools, the shared latency
+        cache), with the constant parts resolved once per plan: batch-1
+        latency/power, overflow thresholds, a lazily filled per-batch
+        GPU ladder so joins never call back into the model, and
+        predecessor/transfer indices as integers.
         """
         node = self._node
         live = node._live_by_platform()
@@ -538,24 +528,14 @@ class EventHeapEngine:
         self._plan_ok = bool(plan)
         self._last_replan = node._last_replan_ms
         self._makespan = node._plan_makespan_ms
-        if node._is_poly:
-            self._win = node._win_loaded if node._was_loaded else 0.0
-        else:
-            self._win = node.system.batch_window_ms
+        self._win = node._batch_window_ms()
         if not plan:
             return
         cached = self._compiled.get(id(plan))
         if cached is None or cached[0] is not plan:
-            steps = self._compile(plan)
-            fn = (
-                None
-                if self._validate
-                else self._codegen(steps, self._traced)
-            )
-            cached = (plan, steps, fn)
+            cached = (plan, self._codegen(self._compile(plan), self._traced))
             self._compiled[id(plan)] = cached
-        self._steps = cached[1]
-        self._fn = cached[2]
+        self._fn = cached[1]
 
     # -- dispatch-program generation -------------------------------------------
 
@@ -573,8 +553,10 @@ class EventHeapEngine:
         the authoritative objects when the runner returns — at every
         replan boundary and chunk end, so external readers (the replan
         signal path, the cluster dispatcher) always observe fresh
-        state.  Float expressions are copied verbatim from the generic
-        interpreter, so the two stay bit-identical by construction.
+        state.  Float expressions are those of
+        ``LeafNode._allocate``/``AcceleratorInstance.dispatch``, so the
+        program stays bit-identical to the per-request path (pinned by
+        the golden digests).
 
         Returns a function
         ``run(chunk, i, t_limit, win, mk, corr, npos, nbuf, max_comp)``
@@ -652,8 +634,8 @@ class EventHeapEngine:
         def scan_code(
             pad: str, entry, row, f_var: str, br: str = "br"
         ) -> None:
-            """Finish-time estimate for one device row (verbatim the
-            generic interpreter's expressions)."""
+            """Finish-time estimate for one device row (the expressions
+            of ``AcceleratorInstance.estimate_finish``)."""
             nm = ename[id(entry)]
             di = dev_slot[id(row[0])]
             h = f"h{di}"
@@ -901,7 +883,6 @@ class EventHeapEngine:
         emit("    return _run")
 
         src = "\n".join(out) + "\n"
-        self._codegen_src = src
         # Bytecode compilation dominates generation cost; the source is
         # deterministic for a given (plan, node config), so the code
         # object is shared process-wide (fresh engines re-bind their
@@ -922,19 +903,16 @@ class EventHeapEngine:
         prios: Optional[Sequence[float]] = None,
     ) -> None:
         """Admit a chunk of arrivals through the compiled dispatch
-        program (or the generic interpreter in validation mode).
+        program.
 
-        Both paths are float-expression-identical to
-        ``LeafNode._execute_kernel_fast`` per kernel, with the
-        monitor's bookkeeping inlined (EWMA correction folded
-        sequentially; queue depth nets to zero per request; the sliding
-        windows are rebuilt at finalize).  ``prios`` only matters for
+        Per kernel the program is float-expression-identical to
+        ``LeafNode._execute_kernel``, with the monitor's bookkeeping
+        inlined (EWMA correction folded sequentially; queue depth nets
+        to zero per request; the sliding windows are rebuilt at
+        finalize).  ``prios`` only matters for
         traced runs (admit events carry the priority); the simulated
         floats never depend on it outside delegated chaos runs.
         """
-        if self._validate:
-            self._process_chunk_generic(chunk, prios)
-            return
         if self._traced:
             self._process_chunk_traced(chunk, prios)
             return
@@ -1056,292 +1034,3 @@ class EventHeapEngine:
         if n:
             self._last_t = chunk[n - 1]
         self._flush_trace()
-
-    def _process_chunk_generic(
-        self,
-        chunk: Sequence[float],
-        prios: Optional[Sequence[float]] = None,
-    ) -> None:
-        """Interpreter twin of the compiled dispatch program — same
-        float expressions over the same tables, one table lookup at a
-        time.  Validation mode runs it so every dispatch can push its
-        KERNEL_COMPLETE event through the heap.  Traced runs buffer
-        the same admit/dispatch/complete tuples as the compiled
-        runner."""
-        node = self._node
-        interval = node.replan_interval_ms
-        traced = self._traced
-        tb_append = self._tb.append
-        rq = self._rq
-        last = self._last_replan
-        plan_ok = self._plan_ok
-        steps = self._steps
-        win = self._win
-        makespan = self._makespan
-        single_sink = self._single_sink
-        sinks = self._sinks
-        ends_t = self._ends_t
-        ends_dev = self._ends_dev
-        nbuf = self._nbuf
-        npos = self._npos
-        nlen = len(nbuf)
-        lognormal = node._rng.lognormal
-        corr = self._corr
-        alpha = self._alpha
-        lo = self._corr_lo
-        hi = self._corr_hi
-        arr_append = self._arr.append
-        lat_append = self._lats.append
-        req_arr = self._req_arr.append
-        req_comp = self._req_comp.append
-        req_pred = self._req_pred.append
-        max_comp = self._max_comp
-        validate = self._validate
-        inf = float("inf")
-
-        for idx, t in enumerate(chunk):
-            if traced:
-                rq += 1
-                tb_append(
-                    (1, t, rq, 1.0 if prios is None else prios[idx])
-                )
-            if not plan_ok or t - last >= interval:
-                self._npos = npos
-                self._nbuf = nbuf
-                if traced:
-                    self._corr = corr
-                    self._flush_monitor()
-                self._sync_plan(t)
-                last = self._last_replan
-                plan_ok = self._plan_ok
-                steps = self._steps
-                win = self._win
-                makespan = self._makespan
-                nbuf = self._nbuf
-                npos = self._npos
-                nlen = len(nbuf)
-                if not plan_ok:
-                    raise RuntimeError("node has no plan (fast path)")
-
-            for ki, entries, preds in steps:
-                if preds:
-                    br = t
-                    for j, _x in preds:
-                        e = ends_t[j]
-                        if e > br:
-                            br = e
-                else:
-                    br = t
-
-                entry = entries[0]
-                rows = entry[0]
-                lat1 = entry[1]
-                key = entry[2]
-                is_gpu = entry[3]
-                lats = entry[6]
-                best_fin = inf
-                best_rank = 1 << 30
-                best_row = rows[0]
-                if is_gpu:
-                    for row in rows:
-                        b = row[1].get(key)
-                        if (
-                            b is not None
-                            and b[0] >= br
-                            and b[2] < MAX_GPU_BATCH
-                        ):
-                            lv = lats[b[2] + 1]
-                            if lv == 0.0:
-                                lv = entry[10](b[2] + 1)
-                            fin = b[0] + lv
-                        else:
-                            h = row[0].horizon_ms
-                            fin = (h if h > br else br) + lat1
-                        if fin < best_fin or (
-                            fin == best_fin and row[3] < best_rank
-                        ):
-                            best_fin = fin
-                            best_rank = row[3]
-                            best_row = row
-                else:
-                    for row in rows:
-                        h = row[0].horizon_ms
-                        s = h if h > br else br
-                        li = row[0].loaded_impl
-                        if li is not None and li != key:
-                            s += row[4]
-                        fin = s + lat1
-                        if fin < best_fin or (
-                            fin == best_fin and row[3] < best_rank
-                        ):
-                            best_fin = fin
-                            best_rank = row[3]
-                            best_row = row
-
-                if len(entries) > 1 and best_fin - br > entry[4]:
-                    for alt in entries[1:]:
-                        a_lat1 = alt[1]
-                        a_key = alt[2]
-                        a_lats = alt[6]
-                        if alt[3]:
-                            for row in alt[0]:
-                                b = row[1].get(a_key)
-                                if (
-                                    b is not None
-                                    and b[0] >= br
-                                    and b[2] < MAX_GPU_BATCH
-                                ):
-                                    lv = a_lats[b[2] + 1]
-                                    if lv == 0.0:
-                                        lv = alt[10](b[2] + 1)
-                                    fin = b[0] + lv
-                                else:
-                                    h = row[0].horizon_ms
-                                    fin = (h if h > br else br) + a_lat1
-                                if fin < best_fin or (
-                                    fin == best_fin and row[3] < best_rank
-                                ):
-                                    best_fin = fin
-                                    best_rank = row[3]
-                                    best_row = row
-                                    entry = alt
-                        else:
-                            for row in alt[0]:
-                                h = row[0].horizon_ms
-                                s = h if h > br else br
-                                li = row[0].loaded_impl
-                                if li is not None and li != a_key:
-                                    s += row[4]
-                                fin = s + a_lat1
-                                if fin < best_fin or (
-                                    fin == best_fin and row[3] < best_rank
-                                ):
-                                    best_fin = fin
-                                    best_rank = row[3]
-                                    best_row = row
-                                    entry = alt
-                    lat1 = entry[1]
-                    key = entry[2]
-                    is_gpu = entry[3]
-                    lats = entry[6]
-
-                dev = best_row[0]
-                if preds:
-                    ready = t
-                    for j, x in preds:
-                        e = ends_t[j]
-                        if ends_dev[j] is not dev:
-                            e = e + x
-                        if e > ready:
-                            ready = e
-                else:
-                    ready = t
-
-                if npos >= nlen:
-                    nbuf = lognormal(0.0, NOISE_SIGMA, 2048).tolist()
-                    nlen = 2048
-                    npos = 0
-                noise = nbuf[npos]
-                npos += 1
-
-                if is_gpu:
-                    batches = best_row[1]
-                    b = batches.get(key)
-                    if (
-                        b is not None
-                        and b[0] >= ready
-                        and b[2] < MAX_GPU_BATCH
-                    ):
-                        old_end = b[1]
-                        size = b[2] + 1
-                        b[2] = size
-                        lv = lats[size]
-                        if lv == 0.0:
-                            lv = entry[10](size)
-                        end = b[0] + lv * b[4]
-                        b[1] = end
-                        rec = b[3]
-                        rec[3] = end
-                        rec[4] = entry[7][size]
-                        rec[5] = size
-                        h = dev.horizon_ms + (end - old_end)
-                        dev.horizon_ms = h if h > end else end
-                        if traced:
-                            tb_append(
-                                (2, ready, rq, entry[9], dev.device_id,
-                                 entry[8], b[0], end)
-                            )
-                    else:
-                        h = dev.horizon_ms
-                        rw = ready + win
-                        launch = h if h > rw else rw
-                        end = launch + lat1 * noise
-                        rec = [entry[9], entry[8], launch, end, entry[5], 1]
-                        best_row[2].append(rec)
-                        dev.horizon_ms = end
-                        batches[key] = [launch, end, 1, rec, noise]
-                        if traced:
-                            tb_append(
-                                (2, ready, rq, entry[9], dev.device_id,
-                                 entry[8], launch, end)
-                            )
-                else:
-                    h = dev.horizon_ms
-                    start = h if h > ready else ready
-                    li = dev.loaded_impl
-                    if li is not None and li != key:
-                        start += best_row[4]
-                    dev.loaded_impl = key
-                    end = start + lat1 * noise
-                    best_row[2].append(
-                        [entry[9], entry[8], start, end, entry[5], 1]
-                    )
-                    dev.horizon_ms = end
-                    if traced:
-                        tb_append(
-                            (2, ready, rq, entry[9], dev.device_id,
-                             entry[8], start, end)
-                        )
-
-                ends_t[ki] = end
-                ends_dev[ki] = dev
-                if validate:
-                    self.dispatched += 1
-                    self.heap.push(end, EventKind.KERNEL_COMPLETE, dev)
-
-            if single_sink >= 0:
-                comp = ends_t[single_sink]
-            else:
-                comp = max(ends_t[s] for s in sinks)
-            if comp > max_comp:
-                max_comp = comp
-            lat = comp - t
-            if traced:
-                tb_append((3, comp, rq, lat))
-            arr_append(t)
-            lat_append(lat)
-            req_arr(t)
-            req_comp(comp)
-            req_pred(makespan)
-            if makespan > 0.0:
-                ratio = lat / makespan
-                if ratio < lo:
-                    ratio = lo
-                elif ratio > hi:
-                    ratio = hi
-                corr += alpha * (ratio - corr)
-
-        self._corr = corr
-        self._nbuf = nbuf
-        self._npos = npos
-        self._max_comp = max_comp
-        w = self._window
-        if len(self._lats) > 4 * w:
-            del self._lats[: len(self._lats) - w]
-        if len(self._arr) > 4 * w:
-            del self._arr[: len(self._arr) - w]
-        if traced:
-            self._rq = rq
-            if len(chunk):
-                self._last_t = chunk[len(chunk) - 1]
-            self._flush_trace()

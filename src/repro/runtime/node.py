@@ -417,20 +417,19 @@ class LeafNode:
         #: Observability hook; the inert default keeps the request path
         #: byte-identical to an uninstrumented build.
         self.tracer = NULL_TRACER if tracer is None else tracer
-        #: Opt-in schedule-plan memoization.  ``None`` keeps the exact
-        #: legacy request path; with a cache, fault-free requests take a
-        #: compiled dispatch fast path (seeded runs stay bit-identical —
-        #: golden-tested) and the node's model-latency lookups fill
-        #: through the process-wide :func:`evaluate_cached` table.
+        #: Opt-in schedule-plan memoization: the scheduler reuses cached
+        #: plans and the node's model-latency lookups fill through the
+        #: process-wide :func:`evaluate_cached` table.  Dispatch is the
+        #: same with or without it (seeded runs are bit-identical).
         self._plan_cache = plan_cache
         if plan_cache is not None:
             plan_cache.bind_invalidation(self)
         self.monitor = SystemMonitor()
         self._rng = np.random.default_rng(seed)
-        #: Buffered log-normal noise draws (fast path only).  numpy's
-        #: ``Generator.lognormal(size=N)`` yields the bit-identical
-        #: sequence to N scalar draws, so buffering cannot change a
-        #: seeded run — it only amortizes the per-draw call overhead.
+        #: The event engine's buffered log-normal noise draws, kept here
+        #: between engine sessions.  numpy's ``lognormal(size=N)`` yields
+        #: the bit-identical sequence to N scalar draws, so the engine's
+        #: buffered stream equals :meth:`_execute_kernel`'s scalar one.
         self._noise_buf = np.empty(0)
         self._noise_pos = 0
         self._models = {spec.name: model_for(spec) for spec in system.platforms}
@@ -483,13 +482,10 @@ class LeafNode:
             for name in self._topo_order
             for pred in self._preds[name]
         }
-        #: Poly's loaded-mode GPU batching window (see :meth:`_gpu_window`).
+        #: Poly's loaded-mode GPU batching window (see
+        #: :meth:`_batch_window_ms`).
         self._win_loaded = min(0.04 * app.qos_ms, 10.0)
         self._is_poly = system.policy == SchedulingPolicy.POLY
-        #: Compiled per-kernel dispatch table (fast path), rebuilt when
-        #: the active plan object changes.
-        self._dispatch_table: Optional[Dict[str, list]] = None
-        self._compiled_for: Optional[object] = None
         #: Fault-injection hooks; ``None`` keeps the request path on the
         #: exact healthy-device code (bit-identical to a fault-free run).
         self._injector = None
@@ -527,8 +523,6 @@ class LeafNode:
         self._plan = {}
         self._plan_makespan_ms = 0.0
         self._last_replan_ms = -float("inf")
-        self._dispatch_table = None
-        self._compiled_for = None
         if self._plan_cache is not None:
             self._plan_cache.invalidate(self.app.graph.structural_signature())
 
@@ -930,16 +924,6 @@ class LeafNode:
                     )
                     retries += used
                     ends[name] = (end, device_id)
-            elif self._plan_cache is not None:
-                # Compiled dispatch: same decisions as _execute_kernel,
-                # minus the per-request plan/pool bookkeeping (golden
-                # tests hold the two paths bit-identical).
-                table = self._compiled_table()
-                for name in self._topo_order:
-                    device_id, end = self._execute_kernel_fast(
-                        name, ends, arrival_ms, table
-                    )
-                    ends[name] = (end, device_id)
             else:
                 for name in self._topo_order:
                     device, _, _, end = self._execute_kernel(
@@ -1018,7 +1002,7 @@ class LeafNode:
         if device.slowdown != 1.0:
             noise *= device.slowdown
         start, end = device.dispatch(
-            name, point, ready, self._gpu_window(device), noise
+            name, point, ready, self._batch_window_ms(), noise
         )
         if self.tracer.enabled:
             # Decision record: the reserved window at dispatch time (GPU
@@ -1036,246 +1020,6 @@ class LeafNode:
                 end_ms=round(end, 6),
             )
         return device, point, start, end
-
-    # -- compiled dispatch fast path (plan-cache mode, healthy devices) -------
-
-    def _next_noise(self) -> float:
-        """Next execution-noise draw, buffered.
-
-        Bit-identical to a scalar ``rng.lognormal(0.0, NOISE_SIGMA)``
-        per call: numpy draws vectorized log-normals in the same stream
-        order as repeated scalar draws.
-        """
-        buf = self._noise_buf
-        pos = self._noise_pos
-        if pos >= len(buf):
-            buf = self._noise_buf = self._rng.lognormal(
-                0.0, NOISE_SIGMA, size=2048
-            )
-            pos = 0
-        self._noise_pos = pos + 1
-        return float(buf[pos])
-
-    def _compiled_table(self) -> Dict[str, list]:
-        """Per-kernel dispatch entries compiled from the active plan.
-
-        Each entry is ``(point, devices, lat1_ms, impl_key, is_gpu,
-        overflow_ms, power1_w)`` in the plan's platform order (preferred
-        first) — everything :meth:`_allocate` recomputes per request
-        that is in fact constant for the plan's lifetime.  ``lat1_ms``/
-        ``power1_w`` are the exact batch-1 tuple the device's
-        ``_latency_fn`` serves (same shared latency cache), so the
-        inlined dispatch below reproduces its floats bit-for-bit.  The
-        table is keyed to the plan *object*, so light/heavy toggles swap
-        between two compiled tables and :meth:`invalidate_plans` drops
-        both.
-        """
-        plan = self._plan
-        if plan is self._compiled_for and self._dispatch_table is not None:
-            return self._dispatch_table
-        table: Dict[str, list] = {}
-        live = self._live_by_platform()
-        for name, per_platform in plan.items():
-            entries = []
-            for platform, point in per_platform.items():
-                devs = live.get(platform)
-                if not devs:
-                    continue
-                lat1, power1 = self._latency_of_platform(
-                    platform, name, point, 1
-                )
-                entries.append(
-                    (
-                        point,
-                        list(devs),
-                        lat1,
-                        (name, point.index),
-                        devs[0].device_type == DeviceType.GPU,
-                        self._OVERFLOW_FACTOR * point.latency_ms,
-                        power1,
-                    )
-                )
-            if entries:
-                table[name] = entries
-        self._dispatch_table = table
-        self._compiled_for = plan
-        return table
-
-    def _execute_kernel_fast(
-        self,
-        name: str,
-        ends: Dict[str, Tuple[float, str]],
-        arrival_ms: float,
-        table: Dict[str, list],
-    ) -> Tuple[str, float]:
-        """Healthy-path kernel execution over the compiled table.
-
-        Decision-for-decision the same as :meth:`_execute_kernel` +
-        :meth:`_allocate` (same finish estimates, same ``(finish,
-        device_id)`` tie-breaks, same overflow rule, same noise stream),
-        with :meth:`DeviceSim.dispatch`'s bookkeeping inlined — the
-        same state mutations and float expressions, minus the per-call
-        dispatch plumbing; returns (device_id, end_ms).
-        """
-        entries = table.get(name)
-        if not entries:
-            raise RuntimeError(f"kernel {name!r} has no planned platform")
-        preds = self._preds[name]
-        base_ready = arrival_ms
-        for pred in preds:
-            e = ends[pred][0]
-            if e > base_ready:
-                base_ready = e
-
-        point, devs, lat1, impl_key, is_gpu, overflow_ms, power1 = entries[0]
-        best_fin = float("inf")
-        best_id = ""
-        device = None
-        for d in devs:
-            if is_gpu:
-                b = d._open_batches.get(impl_key)
-                if (
-                    b is not None
-                    and b.launch_ms >= base_ready
-                    and b.size < MAX_GPU_BATCH
-                ):
-                    fin = b.launch_ms + d._latency_fn(name, point, b.size + 1)[0]
-                else:
-                    h = d.horizon_ms
-                    fin = (h if h > base_ready else base_ready) + lat1
-            else:
-                h = d.horizon_ms
-                s = h if h > base_ready else base_ready
-                li = d.loaded_impl
-                if li is not None and li != impl_key:
-                    s += d.reconfig_ms
-                fin = s + lat1
-            if fin < best_fin or (fin == best_fin and d.device_id < best_id):
-                best_fin = fin
-                best_id = d.device_id
-                device = d
-        chosen_point = point
-        chosen_gpu = is_gpu
-        chosen_key = impl_key
-        chosen_lat1 = lat1
-        chosen_power1 = power1
-
-        if len(entries) > 1 and best_fin - base_ready > overflow_ms:
-            best_key = (best_fin, best_id)
-            for alt in entries[1:]:
-                a_point, a_devs, a_lat1, a_key, a_gpu, _, a_power1 = alt
-                for d in a_devs:
-                    if a_gpu:
-                        b = d._open_batches.get(a_key)
-                        if (
-                            b is not None
-                            and b.launch_ms >= base_ready
-                            and b.size < MAX_GPU_BATCH
-                        ):
-                            fin = b.launch_ms + d._latency_fn(
-                                name, a_point, b.size + 1
-                            )[0]
-                        else:
-                            h = d.horizon_ms
-                            fin = (h if h > base_ready else base_ready) + a_lat1
-                    else:
-                        h = d.horizon_ms
-                        s = h if h > base_ready else base_ready
-                        li = d.loaded_impl
-                        if li is not None and li != a_key:
-                            s += d.reconfig_ms
-                        fin = s + a_lat1
-                    cand = (fin, d.device_id)
-                    if cand < best_key:
-                        best_key = cand
-                        device = d
-                        chosen_point = a_point
-                        chosen_gpu = a_gpu
-                        chosen_key = a_key
-                        chosen_lat1 = a_lat1
-                        chosen_power1 = a_power1
-
-        dev_id = device.device_id
-        ready = arrival_ms
-        for pred in preds:
-            pe, pd = ends[pred]
-            if pd != dev_id:
-                pe += self._xfer_ms[(pred, name)]
-            if pe > ready:
-                ready = pe
-        noise = self._next_noise()
-        if device.slowdown != 1.0:
-            noise *= device.slowdown
-
-        # Inlined DeviceSim.dispatch: identical mutations and float
-        # expressions as _dispatch_gpu/_dispatch_fpga, with the batch-1
-        # (latency, power) read from the compiled table instead of a
-        # _latency_fn call (same cached tuple).
-        if chosen_gpu:
-            b = device._open_batches.get(chosen_key)
-            if (
-                b is not None
-                and b.launch_ms >= ready
-                and b.size < MAX_GPU_BATCH
-            ):
-                old_end = b.end_ms
-                b.size += 1
-                latency, power = device._latency_fn(
-                    name, chosen_point, b.size
-                )
-                b.end_ms = b.launch_ms + latency * b.noise
-                b.record.end_ms = b.end_ms
-                b.record.power_w = power
-                b.record.batch = b.size
-                device.horizon_ms = max(
-                    device.horizon_ms + (b.end_ms - old_end), b.end_ms
-                )
-                start, end = b.launch_ms, b.end_ms
-            else:
-                if self._is_poly:
-                    win = self._win_loaded if self._was_loaded else 0.0
-                else:
-                    win = self.system.batch_window_ms
-                launch = max(device.horizon_ms, ready + win)
-                end = launch + chosen_lat1 * noise
-                record = ExecutionRecord(
-                    dev_id, name, chosen_point.index, launch, end,
-                    chosen_power1, 1,
-                )
-                device.records.append(record)
-                device.horizon_ms = end
-                device._open_batches[chosen_key] = _OpenBatch(
-                    name, chosen_point, launch, end, 1, record, noise
-                )
-                start = launch
-        else:
-            h = device.horizon_ms
-            start = h if h > ready else ready
-            li = device.loaded_impl
-            if li is not None and li != chosen_key:
-                start += device.reconfig_ms
-            device.loaded_impl = chosen_key
-            end = start + chosen_lat1 * noise
-            device.records.append(
-                ExecutionRecord(
-                    dev_id, name, chosen_point.index, start, end,
-                    chosen_power1, 1,
-                )
-            )
-            device.horizon_ms = end
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "kernel.dispatch",
-                name=name,
-                t_ms=ready,
-                req=self._current_req,
-                kernel=name,
-                device=dev_id,
-                point=chosen_point.index,
-                start_ms=round(start, 6),
-                end_ms=round(end, 6),
-            )
-        return dev_id, end
 
     def _execute_kernel_resilient(
         self,
@@ -1337,15 +1081,15 @@ class LeafNode:
             floor_ms = fault_ms + policy.timeout_ms + policy.backoff_ms(attempt)
             attempt += 1
 
-    def _gpu_window(self, device: AcceleratorInstance) -> float:
-        if device.device_type != DeviceType.GPU:
-            return 0.0
-        if self.system.policy == SchedulingPolicy.POLY:
+    def _batch_window_ms(self) -> float:
+        """How long a new GPU batch waits for joiners before launching
+        (FPGA dispatch ignores it).  Read by both dispatch paths."""
+        if self._is_poly:
             # Poly opens a batching window only in high-performance mode:
             # a small admission delay keeps the GPU in its efficient
             # batched regime under load, while light load stays
             # latency-optimal with immediate launches.
-            return min(0.04 * self.app.qos_ms, 10.0) if self._was_loaded else 0.0
+            return self._win_loaded if self._was_loaded else 0.0
         return self.system.batch_window_ms
 
     def _allocate(

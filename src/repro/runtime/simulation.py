@@ -60,7 +60,9 @@ class SimulationResult:
 
     @property
     def p99_ms(self) -> float:
-        return tail_latency_p99(self.latencies_ms())
+        """Steady-state p99 latency (NaN when nothing was served)."""
+        lats = self.latencies_ms()
+        return tail_latency_p99(lats) if lats else float("nan")
 
     @property
     def mean_latency_ms(self) -> float:
@@ -79,7 +81,8 @@ class SimulationResult:
         )
 
     def qos_violations(self, bound_ms: float) -> float:
-        return violation_ratio(self.latencies_ms(), bound_ms)
+        lats = self.latencies_ms()
+        return violation_ratio(lats, bound_ms) if lats else float("nan")
 
     @property
     def avg_power_w(self) -> float:
@@ -148,29 +151,30 @@ def run_simulation(
     bit-identical to an uninstrumented build.
 
     ``plan_cache`` (a :class:`repro.scheduler.SchedulePlanCache`)
-    memoizes the node's schedule plans and enables the compiled
-    dispatch fast path; seeded runs are bit-identical with the cache on
-    or off (golden-tested), the cache only removes recomputation.
+    memoizes the node's schedule plans (and fills model latencies
+    through the process-wide model-eval table); dispatch is unchanged,
+    so seeded runs are bit-identical with the cache on or off
+    (golden-tested) — the cache only removes recomputation.
 
     ``arrivals_ms`` may also be an :class:`ArrivalSpec` — the
     declarative stream description shared with the cluster driver —
-    realized here through its own seed.
+    realized here through its own seed.  An empty stream yields a
+    zero-request result over one idle power bin.
 
     ``engine`` selects the simulation core: ``"event"`` (default)
     drives the run through the global event-heap engine
     (:class:`repro.runtime.engine.EventHeapEngine`, ≥10x request
-    throughput at high load); ``"legacy"`` keeps the original
-    per-request submit loop.  Seeded runs are float-identical across
-    the two (golden-tested); traced runs emit byte-identical event
-    streams natively from the engine's loop (chaos runs delegate each
-    arrival to the node, so the equivalence is structural there).
+    throughput at high load); ``"legacy"`` runs the per-request
+    reference path, ``LeafNode.submit`` per arrival.  Seeded runs are
+    float-identical across the two (golden-tested); traced runs emit
+    byte-identical event streams natively from the engine's loop (chaos
+    runs delegate each arrival to the node, so the equivalence is
+    structural there).
     """
     if engine not in ("event", "legacy"):
         raise ValueError(f"unknown engine {engine!r}")
     if isinstance(arrivals_ms, ArrivalSpec):
         arrivals_ms = arrivals_ms.generate()
-    if not arrivals_ms:
-        raise ValueError("empty arrival stream")
     if tracer is None and isinstance(faults, FaultInjector):
         # A pre-built injector constructed with its own tracer traces
         # the whole run, not just the fault path.
@@ -212,8 +216,10 @@ def run_simulation(
     # drain is not part of "power at load L" (a saturated system keeps
     # receiving load in reality).  The span comes from the *sorted*
     # stream: the caller's last element need not be its latest arrival.
-    arrival_span_ms = max(ordered[-1], bin_ms)
-    duration_ms = max(max(r.completion_ms for r in requests), ordered[-1])
+    # An empty stream is a zero-load run: one idle bin, no requests.
+    last_ms = ordered[-1] if ordered else 0.0
+    arrival_span_ms = max(last_ms, bin_ms)
+    duration_ms = max([last_ms] + [r.completion_ms for r in requests])
     power = _power_timeline(node, arrival_span_ms, bin_ms)
     result = SimulationResult(
         system=system.codename,

@@ -1,5 +1,11 @@
 """Tests for the OpenCL code generator and the CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from conftest import small_kernel
 from repro.cli import build_parser, main
@@ -128,3 +134,56 @@ class TestCLI:
 
     def test_codegen_unknown_kernel(self, capsys):
         assert main(["codegen", "FQT", "Ghost"]) == 2
+
+
+class TestCLIErrorContract:
+    """Bad input is a usage error (exit 2, no traceback); valid edge
+    cases (zero load, a closed output pipe) succeed."""
+
+    def _usage_error(self, argv, capsys, arg):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"argument {arg}" in err.splitlines()[-1]
+
+    def test_simulate_nan_rate(self, capsys):
+        self._usage_error(["simulate", "asr", "nan"], capsys, "rps")
+
+    def test_simulate_infinite_rate(self, capsys):
+        self._usage_error(
+            ["simulate", "asr", "inf", "--ms", "100"], capsys, "rps"
+        )
+
+    def test_cluster_zero_hours(self, capsys):
+        self._usage_error(["cluster", "--hours", "0"], capsys, "--hours")
+
+    def test_bench_zero_trials(self, capsys):
+        self._usage_error(["bench", "--trials", "0"], capsys, "--trials")
+
+    def test_simulate_zero_rate_is_empty_result(self, capsys):
+        assert main(["simulate", "asr", "0", "--ms", "500"]) == 0
+        out = capsys.readouterr().out
+        assert "0 reqs" in out
+        assert "p99        : nan ms" in out
+
+    def test_closed_pipe_exits_quietly(self):
+        """``repro figure table2 | head -1``: the reader is gone before
+        the table is written; no BrokenPipeError traceback."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "figure", "table2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == ""

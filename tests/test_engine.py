@@ -1,10 +1,12 @@
-"""Event-heap engine: golden A/B identity vs. the legacy loop, heap
-ordering, ArrivalSpec, and the conservation checks of validation mode.
+"""Event-heap engine: A/B identity vs. the per-request loop, heap
+ordering and ArrivalSpec.
 
-The tentpole contract: seeded runs through ``engine="event"`` are
-float-identical to ``engine="legacy"`` — same request latencies, same
-power bins, same obs event stream, fault-free and under chaos.  These
-tests are the gate that lets the legacy loop eventually be deleted.
+The contract: seeded runs through ``engine="event"`` are float-identical
+to ``engine="legacy"`` — same request latencies, same power bins, same
+obs event stream, fault-free and under chaos.  The checked-in digests of
+``tests/test_golden_digests.py`` pin both engines (and the fleet
+driver) to recorded values; the A/B tests here cover extra shapes
+(homogeneous systems, overload, bursty streams) and node state.
 """
 
 import numpy as np
@@ -16,13 +18,11 @@ from repro.faults import FaultSchedule
 from repro.runtime import (
     ArrivalSpec,
     EventHeap,
-    EventHeapEngine,
     EventKind,
     poisson_arrivals,
     run_simulation,
     setting,
 )
-from repro.runtime.node import LeafNode
 
 
 @pytest.fixture(scope="module")
@@ -304,26 +304,7 @@ class TestGoldenChaos:
 
 
 class TestValidationMode:
-    def test_validate_engine_matches_and_conserves(self, asr):
-        """validate=True runs the interpreter with explicit
-        KERNEL_COMPLETE events; every dispatched kernel must drain
-        exactly one completion, and results must match codegen."""
-        app, system, spaces = asr
-        arrivals = poisson_arrivals(
-            60.0, 2_000.0, rng=np.random.default_rng(4)
-        )
-
-        def build_node():
-            return LeafNode(system, app, spaces, seed=4)
-
-        fast = EventHeapEngine(build_node()).run(arrivals)
-        checked_engine = EventHeapEngine(build_node(), validate=True)
-        checked = checked_engine.run(arrivals)
-        assert [(r.arrival_ms, r.completion_ms) for r in fast] == [
-            (r.arrival_ms, r.completion_ms) for r in checked
-        ]
-        assert checked_engine.dispatched > 0
-        assert checked_engine.completions_drained == checked_engine.dispatched
+    """Argument validation of the engine selector."""
 
     def test_unknown_engine_rejected(self, wt):
         app, system, spaces = wt
@@ -349,25 +330,6 @@ class TestClusterGolden:
             result.power_bins_w.tolist(),
         )
 
-    def test_fleet_replay_identity(self, asr):
-        from repro.cluster import AutoscalerConfig, ClusterSimulation
-
-        app, system, spaces = asr
-        cfg = AutoscalerConfig(min_nodes=1, max_nodes=4)
-        spec = ArrivalSpec.flash_crowd(
-            80.0, 16_000.0, 6_000.0, 3_000.0, seed=0
-        )
-
-        def replay(engine):
-            sim = ClusterSimulation(
-                [system], app, spaces, config=cfg, seed=5, engine=engine
-            )
-            return sim.run(spec, horizon_ms=16_000.0)
-
-        legacy = replay("legacy")
-        event = replay("event")
-        assert self._fleet_sig(legacy) == self._fleet_sig(event)
-
     def test_fleet_spec_equals_raw_list(self, asr):
         from repro.cluster import AutoscalerConfig, ClusterSimulation
 
@@ -385,14 +347,3 @@ class TestClusterGolden:
         by_list = sim.run(raw, horizon_ms=8_000.0)
         by_spec = build().run(spec, horizon_ms=8_000.0)
         assert self._fleet_sig(by_list) == self._fleet_sig(by_spec)
-
-    def test_unknown_cluster_engine_rejected(self, asr):
-        from repro.cluster import AutoscalerConfig, ClusterSimulation
-
-        app, system, spaces = asr
-        with pytest.raises(ValueError, match="engine"):
-            ClusterSimulation(
-                [system], app, spaces,
-                config=AutoscalerConfig(min_nodes=1, max_nodes=2),
-                seed=0, engine="nope",
-            )

@@ -1,9 +1,10 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import math
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import synthetic_space
 from repro.hardware import AMD_W9100, GPUModel, ImplConfig, PCIeLink, XILINX_7V3, FPGAModel
@@ -194,3 +195,128 @@ class TestSchedulerProperties:
         for a, b in zip(names, names[1:]):
             assert sched[b].start_ms >= sched[a].end_ms - 1e-9
         assert sched.makespan_ms >= n * min(lat_gpu, lat_fpga) * 0.999
+
+
+@lru_cache(maxsize=None)
+def _serving_env(name):
+    from repro import apps as apps_mod
+    from repro.runtime import setting
+
+    app = apps_mod.build(name)
+    system = setting("I", "Heter-Poly")
+    return app, system, app.explore(system.platforms)
+
+
+def _request_rows(result):
+    return [
+        (r.arrival_ms, r.completion_ms, r.predicted_ms, r.retries,
+         r.dropped, r.failed)
+        for r in result.requests
+    ]
+
+
+def _fpga_overlaps(node):
+    """Pairs of executions that share an FPGA at the same instant.
+
+    Executions aborted before they started are cut to zero length and
+    occupy no device time, so they are left out."""
+    hits = []
+    for dev in node.devices:
+        if dev.device_type != DeviceType.FPGA:
+            continue
+        recs = sorted(
+            (r for r in dev.records if r.end_ms > r.start_ms),
+            key=lambda r: (r.start_ms, r.end_ms),
+        )
+        hits += [(a, b) for a, b in zip(recs, recs[1:]) if b.start_ms < a.end_ms]
+    return hits
+
+
+_apps = st.sampled_from(("ASR", "CS", "FQT", "IR", "MF", "WT"))
+
+
+class TestEngineBoundaryProperties:
+    """DESIGN.md §6 invariants at the ``run_simulation`` boundary.
+
+    GPU records are deliberately not checked for overlap: a batch join
+    stretches an already-launched earlier batch past a later launch on
+    the same GPU (a known deviation, DESIGN.md §8).
+    """
+
+    @given(
+        app=_apps,
+        rps=st.floats(min_value=10.0, max_value=200.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_fault_free_stream(self, app, rps, seed):
+        import numpy as np
+
+        from repro.runtime import poisson_arrivals, run_simulation
+
+        app_, system, spaces = _serving_env(app)
+        arrivals = poisson_arrivals(
+            rps, 800.0, rng=np.random.default_rng(seed)
+        )
+        assume(arrivals)
+        event = run_simulation(system, app_, spaces, arrivals, seed=seed)
+        # One record per arrival, in arrival order, never early.
+        assert [r.arrival_ms for r in event.requests] == sorted(arrivals)
+        assert all(r.completion_ms >= r.arrival_ms for r in event.requests)
+        assert all(r.served for r in event.requests)
+        assert _fpga_overlaps(event.node) == []
+        legacy = run_simulation(
+            system, app_, spaces, arrivals, seed=seed, engine="legacy"
+        )
+        assert _request_rows(legacy) == _request_rows(event)
+        assert legacy.power_bins_w.tolist() == event.power_bins_w.tolist()
+
+    @given(
+        app=_apps,
+        rps=st.floats(min_value=10.0, max_value=120.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+        mtbf_ms=st.floats(min_value=150.0, max_value=2_000.0),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_chaos_stream_conserves_requests(self, app, rps, seed, mtbf_ms):
+        import numpy as np
+
+        from repro.faults import FaultSchedule
+        from repro.runtime import poisson_arrivals, run_simulation
+
+        app_, system, spaces = _serving_env(app)
+        arrivals = poisson_arrivals(
+            rps, 800.0, rng=np.random.default_rng(seed)
+        )
+        assume(arrivals)
+        faults = FaultSchedule.from_mtbf(
+            [d for d, _ in system.device_inventory()],
+            duration_ms=800.0,
+            mtbf_ms=mtbf_ms,
+            mttr_ms=mtbf_ms / 3.0,
+            seed=seed,
+            transient_rate_per_s=1.0,
+        )
+        priorities = list(
+            np.random.default_rng(seed + 1).random(len(arrivals))
+        )
+        runs = [
+            run_simulation(
+                system, app_, spaces, arrivals, seed=seed, faults=faults,
+                priorities=priorities, engine=engine,
+            )
+            for engine in ("event", "legacy")
+        ]
+        event, legacy = runs
+        reqs = event.requests
+        assert [r.arrival_ms for r in reqs] == sorted(arrivals)
+        assert all(r.completion_ms >= r.arrival_ms for r in reqs)
+        served = sum(1 for r in reqs if r.served)
+        shed = sum(1 for r in reqs if r.dropped)
+        failed = sum(1 for r in reqs if r.failed)
+        assert len(reqs) == served + shed + failed
+        report = event.faults
+        assert (report.shed, report.failed_requests) == (shed, failed)
+        assert _fpga_overlaps(event.node) == []
+        assert _request_rows(legacy) == _request_rows(event)
+        assert legacy.power_bins_w.tolist() == event.power_bins_w.tolist()
