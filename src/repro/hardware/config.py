@@ -10,9 +10,13 @@ for FPGAs — resource usage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
+from typing import Dict, Sequence
 
-__all__ = ["ImplConfig"]
+import numpy as np
+
+__all__ = ["ImplConfig", "KNOB_DEFAULTS", "KNOB_DTYPES", "knob_tuple", "knob_columns"]
 
 
 @dataclass(frozen=True)
@@ -81,3 +85,26 @@ class ImplConfig:
             f"/p{self.bram_ports}/f{self.freq_scale:.2f}"
             + (f"/{flags}" if flags else "")
         )
+
+
+#: Every knob's default value, in :class:`ImplConfig` field order.
+KNOB_DEFAULTS: Dict[str, object] = {f.name: f.default for f in fields(ImplConfig)}
+#: The numpy dtype of each knob's column (bool, int64 or float64).
+KNOB_DTYPES: Dict[str, np.dtype] = {
+    name: np.dtype(type(value)) for name, value in KNOB_DEFAULTS.items()
+}
+
+#: ``knob_tuple(config)`` is the config's field values in field order —
+#: what ``dataclasses.astuple`` returns, without its per-field deepcopy.
+#: The DSE's total-order sort keys end with it.
+knob_tuple = attrgetter(*KNOB_DEFAULTS)
+
+
+def knob_columns(configs: Sequence[ImplConfig]) -> Dict[str, np.ndarray]:
+    """Each knob of ``configs`` as one numpy column, keyed by field name
+    (the input layout of the vectorized models and the search proxy)."""
+    n = len(configs)
+    return {
+        name: np.fromiter((getattr(c, name) for c in configs), dtype, n)
+        for name, dtype in KNOB_DTYPES.items()
+    }

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
 from ..patterns.ppg import Kernel
-from .config import ImplConfig
+from .config import ImplConfig, knob_columns
 from .specs import FPGASpec
 
 __all__ = ["ResourceUsage", "FPGAPerformanceEstimate", "FPGAModel"]
@@ -229,31 +229,21 @@ class FPGAModel:
     # -- vectorized batch evaluation -----------------------------------------
 
     def _resource_arrays(
-        self, kernel: Kernel, configs: Sequence[ImplConfig]
+        self, kernel: Kernel, knobs: Mapping[str, np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized :meth:`resources` + :meth:`ResourceUsage.fits`.
 
-        Returns ``(feasible, util, lanes)`` where ``util`` is the
+        ``knobs`` holds one column per knob (see
+        :func:`~repro.hardware.config.knob_columns`).  Returns
+        ``(feasible, util, lanes)`` where ``util`` is the
         dominant-resource utilization capped at 1.0 (what the timing
         and power models consume).  The arithmetic replicates the scalar
         expressions operand-for-operand; resource counts stay well under
         2**53, so the float64 ceil/trunc values equal the scalar ints
         exactly.
         """
-        n = len(configs)
-        lanes = np.fromiter(
-            (c.parallel_lanes for c in configs), dtype=np.int64, count=n
-        )
-        ports = np.fromiter(
-            (c.bram_ports for c in configs), dtype=np.int64, count=n
-        )
-        pipelined = np.fromiter(
-            (c.pipelined for c in configs), dtype=bool, count=n
-        )
-        double_buffer = np.fromiter(
-            (c.double_buffer for c in configs), dtype=bool, count=n
-        )
-        fused = np.fromiter((c.fused for c in configs), dtype=bool, count=n)
+        lanes = knobs["unroll"] * knobs["compute_units"]
+        ports = knobs["bram_ports"]
 
         per_lane = self.DSP_PER_LANE.get(kernel.workload_summary().op_kind, 2.0)
         dsp = np.ceil(lanes * per_lane)
@@ -263,8 +253,8 @@ class FPGAModel:
         # scalar int arithmetic and select.
         ws_fused = max(kernel.intermediate_bytes, 4096)
         ws_plain = max(kernel.io_bytes // 16, 4096)
-        ws = np.where(fused, ws_fused, ws_plain)
-        ws = np.where(double_buffer, ws * 2, ws)
+        ws = np.where(knobs["fused"], ws_fused, ws_plain)
+        ws = np.where(knobs["double_buffer"], ws * 2, ws)
         ws = ws * (1.0 + 0.10 * (ports - 1))
         buffer_bytes = np.trunc(np.minimum(ws, self.spec.bram_bytes * 0.95))
 
@@ -272,7 +262,7 @@ class FPGAModel:
             self.SHELL_LOGIC_K
             + lanes * self.LOGIC_K_PER_LANE
             + 2.0 * ports
-            + np.where(pipelined, 15.0, 5.0)
+            + np.where(knobs["pipelined"], 15.0, 5.0)
         )
 
         feasible = (
@@ -287,13 +277,11 @@ class FPGAModel:
         util = np.minimum(util, 1.0)
         return feasible, util, lanes
 
-    def feasible_batch(
-        self, kernel: Kernel, configs: Sequence[ImplConfig]
+    def feasible_columns(
+        self, kernel: Kernel, knobs: Mapping[str, np.ndarray]
     ) -> np.ndarray:
-        """Vectorized placement check; one bool per config."""
-        if len(configs) == 0:
-            return np.zeros(0, dtype=bool)
-        return self._resource_arrays(kernel, configs)[0]
+        """Vectorized placement check over knob columns; one bool per row."""
+        return self._resource_arrays(kernel, knobs)[0]
 
     def estimate_batch(
         self, kernel: Kernel, configs: Sequence[ImplConfig], batch: int = 1
@@ -311,30 +299,17 @@ class FPGAModel:
         """
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        n = len(configs)
-        if n == 0:
+        if len(configs) == 0:
             return np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0)
-        feasible, util, lanes = self._resource_arrays(kernel, configs)
-        ports = np.fromiter(
-            (c.bram_ports for c in configs), dtype=np.int64, count=n
-        )
-        pipelined = np.fromiter(
-            (c.pipelined for c in configs), dtype=bool, count=n
-        )
-        double_buffer = np.fromiter(
-            (c.double_buffer for c in configs), dtype=bool, count=n
-        )
-        fused = np.fromiter((c.fused for c in configs), dtype=bool, count=n)
-        pow_t: Dict[float, float] = {}
-        freq = np.empty(n)
-        freq_sq = np.empty(n)
-        for i, c in enumerate(configs):
-            f = c.freq_scale
-            fp = pow_t.get(f)
-            if fp is None:
-                fp = pow_t[f] = f ** 2
-            freq[i] = f
-            freq_sq[i] = fp
+        knobs = knob_columns(configs)
+        feasible, util, lanes = self._resource_arrays(kernel, knobs)
+        ports = knobs["bram_ports"]
+        pipelined = knobs["pipelined"]
+        double_buffer = knobs["double_buffer"]
+        fused = knobs["fused"]
+        freq = knobs["freq_scale"]
+        levels, level_of = np.unique(freq, return_inverse=True)
+        freq_sq = np.array([float(f) ** 2 for f in levels])[level_of]
 
         base = self.spec.peak_freq_mhz * self.spec.achievable_freq_frac
         base_arr = np.where(

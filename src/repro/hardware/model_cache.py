@@ -107,18 +107,21 @@ class ModelEvalCache:
         """Per-kernel signature, memoized on the kernel object itself.
 
         Recomputing the digest per lookup would eat the win; the digest
-        is stashed on the kernel together with a key of its bias table —
-        the one model-relevant attribute mutated in place in practice —
-        so a rebound bias invalidates the stashed digest.
+        is stashed on the kernel together with the kernel profile it was
+        computed from and a key of its bias table — the one
+        model-relevant attribute mutated in place in practice.  A new
+        PPG version (a fresh profile) or a rebound bias invalidates the
+        stashed digest.
         """
         bias_key = tuple(
             sorted((str(k), float(v)) for k, v in kernel.platform_bias.items())
         )
+        profile = kernel.profile
         cached = getattr(kernel, "_model_signature", None)
-        if cached is not None and cached[1] == bias_key:
+        if cached is not None and cached[1] is profile and cached[2] == bias_key:
             return cached[0]
         sig = kernel_signature(kernel)
-        kernel._model_signature = (sig, bias_key)  # type: ignore[attr-defined]
+        kernel._model_signature = (sig, profile, bias_key)  # type: ignore[attr-defined]
         return sig
 
     # -- the memoized evaluation --------------------------------------------

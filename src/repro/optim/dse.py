@@ -23,12 +23,15 @@ Two mechanisms keep the sweep fast at application scale:
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..hardware import ImplConfig
+from ..hardware.config import KNOB_DEFAULTS, KNOB_DTYPES, knob_tuple
 from ..hardware.model_cache import model_cache
 from ..hardware.specs import DeviceType
 from ..patterns.ppg import Kernel
@@ -37,6 +40,7 @@ from .global_opt import GlobalOptimizer
 from .local_opt import LocalOptimizer
 
 __all__ = [
+    "KnobLattice",
     "explore_kernel",
     "explore_application",
     "enumerate_configs",
@@ -44,26 +48,101 @@ __all__ = [
 ]
 
 
-def _knob_space(
-    kernel: Kernel, spec, overrides: Optional[Dict[str, Sequence]] = None
-) -> Tuple[Dict[str, Tuple], Dict[str, object], Tuple[bool, ...]]:
-    """Per-knob candidate values, forced assignments and fusion options.
+@dataclass(frozen=True)
+class KnobLattice:
+    """A kernel's pruned knob space as a mixed-radix integer lattice.
 
     The shared substrate of exhaustive enumeration and the guided
-    search's genome.  ``overrides`` replaces the candidate list of
-    knobs already present in the plan (names the local pass pruned away
-    or never enabled are ignored) — the hook the bench harness uses to
-    synthetically enlarge the space.
+    search's genome.  ``names`` are the candidate knobs in sorted order
+    followed by ``"fused"``; ``alleles[k]`` lists the values of knob
+    ``names[k]``; ``forced`` assignments apply to every design (the
+    local pass pops a knob from its candidates when it forces it, so
+    forced knobs are never lattice knobs).  A design is one
+    digit per knob, and its lattice index reads the digits as a
+    mixed-radix number with the last digit (fusion) least significant —
+    so index order is exhaustive enumeration order.  Designs become
+    :class:`ImplConfig` objects only through :meth:`configs`,
+    :meth:`config` or :meth:`build`; :meth:`genes` maps a config back
+    to the knob values it was built from.
     """
-    local = LocalOptimizer(spec.device_type).plan(kernel)
-    global_plan = GlobalOptimizer(spec).plan(kernel)
-    candidates: Dict[str, Tuple] = dict(local.candidates)
-    if overrides:
-        for name, values in overrides.items():
-            if name in candidates:
-                candidates[name] = tuple(values)
-    fused_options = (False, True) if global_plan.worthwhile else (False,)
-    return candidates, dict(local.forced), fused_options
+
+    names: Tuple[str, ...]
+    alleles: Tuple[Tuple, ...]
+    forced: Dict[str, Any]
+
+    @classmethod
+    def of(
+        cls, kernel: Kernel, spec, overrides: Optional[Dict[str, Sequence]] = None
+    ) -> "KnobLattice":
+        """The lattice the local and global passes leave for ``kernel``.
+
+        ``overrides`` replaces the candidate list of knobs already
+        present in the plan (names the local pass pruned away or never
+        enabled are ignored) — the hook the bench harness uses to
+        synthetically enlarge the space.  Values are checked when a
+        design is built, so every evaluated design passes
+        :class:`ImplConfig` validation.
+        """
+        local = LocalOptimizer(spec.device_type).plan(kernel)
+        global_plan = GlobalOptimizer(spec).plan(kernel)
+        candidates: Dict[str, Tuple] = dict(local.candidates)
+        if overrides:
+            for name, values in overrides.items():
+                if name in candidates:
+                    candidates[name] = tuple(values)
+        names = sorted(candidates)
+        fused_options = (False, True) if global_plan.worthwhile else (False,)
+        return cls(
+            names=tuple(names) + ("fused",),
+            alleles=tuple(tuple(candidates[n]) for n in names) + (fused_options,),
+            forced=dict(local.forced),
+        )
+
+    @property
+    def size(self) -> int:
+        """Number of designs (the exhaustive enumeration's length)."""
+        size = 1
+        for values in self.alleles:
+            size *= len(values)
+        return size
+
+    def genes(self, config: ImplConfig) -> Tuple:
+        """A config's value of each lattice knob, in :attr:`names` order;
+        equal gene tuples build equal configs."""
+        return tuple(getattr(config, name) for name in self.names)
+
+    def build(self, values: Sequence) -> ImplConfig:
+        """The config with ``values[k]`` for knob ``names[k]``."""
+        return ImplConfig(**dict(zip(self.names, values)), **self.forced)
+
+    def config(self, index: int) -> ImplConfig:
+        """The design at one lattice index."""
+        values = []
+        for alleles in reversed(self.alleles):
+            index, digit = divmod(index, len(alleles))
+            values.append(alleles[digit])
+        return self.build(values[::-1])
+
+    def configs(self) -> List[ImplConfig]:
+        """Every design, in lattice index order."""
+        return [self.build(values) for values in itertools.product(*self.alleles)]
+
+    def columns(self) -> Dict[str, np.ndarray]:
+        """Every design's knobs as numpy columns in lattice index order
+        (the layout of :func:`~repro.hardware.config.knob_columns`)."""
+        index = np.arange(self.size, dtype=np.int64)
+        lattice_cols: Dict[str, np.ndarray] = {}
+        stride = 1
+        for name, values in zip(reversed(self.names), reversed(self.alleles)):
+            table = np.array(values, dtype=KNOB_DTYPES[name])
+            lattice_cols[name] = table[(index // stride) % len(values)]
+            stride *= len(values)
+        return {
+            name: lattice_cols[name]
+            if name in lattice_cols
+            else np.full(self.size, self.forced.get(name, KNOB_DEFAULTS[name]), dtype)
+            for name, dtype in KNOB_DTYPES.items()
+        }
 
 
 def enumerate_configs(
@@ -75,17 +154,7 @@ def enumerate_configs(
     global pass decides whether a fused variant is worth exploring
     (doubling the space when it is).
     """
-    candidates, forced, fused_options = _knob_space(kernel, spec, overrides)
-    names = sorted(candidates)
-    value_lists = [candidates[n] for n in names]
-
-    configs: List[ImplConfig] = []
-    for values in itertools.product(*value_lists):
-        assignment = dict(zip(names, values))
-        assignment.update(forced)
-        for fused in fused_options:
-            configs.append(ImplConfig(fused=fused, **assignment))
-    return configs
+    return KnobLattice.of(kernel, spec, overrides).configs()
 
 
 def prune_invalid_configs(
@@ -146,7 +215,7 @@ def _point_order_key(point: DesignPoint) -> Tuple:
     selection a pure function of the point *set*, independent of
     enumeration or worker completion order.
     """
-    return (point.latency_ms, point.power_w) + dataclasses.astuple(point.config)
+    return (point.latency_ms, point.power_w) + knob_tuple(point.config)
 
 
 def _subsample(points: List[DesignPoint], target: int) -> List[DesignPoint]:
@@ -154,11 +223,14 @@ def _subsample(points: List[DesignPoint], target: int) -> List[DesignPoint]:
 
     Keeps the Pareto-relevant extremes by sampling evenly across the
     latency-sorted list — the paper's spaces (Table II) are similarly
-    curated subsets of the raw combinatorial space.
+    curated subsets of the raw combinatorial space.  A target of 1 keeps
+    the first point of the total order, the fastest one.
     """
     if len(points) <= target:
         return points
     ordered = sorted(points, key=_point_order_key)
+    if target == 1:
+        return ordered[:1]
     step = (len(ordered) - 1) / (target - 1)
     picked = [ordered[round(i * step)] for i in range(target)]
     # Rounding can collide; dedupe while preserving order.
@@ -169,6 +241,12 @@ def _subsample(points: List[DesignPoint], target: int) -> List[DesignPoint]:
             seen.add(key)
             unique.append(p)
     return unique
+
+
+def check_target_points(target_points: Optional[int]) -> None:
+    """Reject a design-count target below 1 before any exploration."""
+    if target_points is not None and target_points < 1:
+        raise ValueError(f"target_points must be >= 1, got {target_points}")
 
 
 def explore_kernel(
@@ -189,6 +267,7 @@ def explore_kernel(
     models run; the number of pruned points is recorded on the returned
     space as ``pruned_invalid``.
     """
+    check_target_points(target_points)
     pruned = 0
     if validate:
         from ..lint import LintContext, run_lint

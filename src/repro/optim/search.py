@@ -6,16 +6,18 @@ knob dimensions (thread coarsening, inter-kernel pipes) blow well past
 that.  This module searches the space instead of enumerating it, with
 two stages under one model-evaluation budget:
 
-1. **Successive halving** over the full enumerated knob space using a
-   cheap low-fidelity analytical proxy (vectorized roofline-style
-   scoring, no model-cache traffic).  Each rung halves the candidate
-   pool under a rotating latency/power scalarization — always retaining
-   the proxy-Pareto members — until the pool reaches the genetic
-   population size.
+1. **Successive halving** over the full knob lattice
+   (:class:`~repro.optim.dse.KnobLattice`) using a cheap low-fidelity
+   analytical proxy (roofline-style scoring vectorized over the
+   lattice's knob columns, no model-cache traffic, no config objects).
+   Each rung halves the candidate pool under a rotating latency/power
+   scalarization — always retaining the proxy-Pareto members — until
+   the pool reaches the genetic population size.
 2. **Genetic refinement** over real model evaluations: tournament
    selection on Pareto-rank-peeled parents, per-knob uniform crossover,
-   and mutation resampling from the enumerated candidate lists, driven
-   by a deterministic ``SeedSequence``-keyed RNG.
+   and mutation resampling from the lattice's alleles, driven by a
+   deterministic ``SeedSequence``-keyed RNG.  Only the halving seeds
+   and the bred children are built as :class:`ImplConfig` objects.
 
 All real evaluations go through the vectorized
 :meth:`~repro.hardware.model_cache.ModelEvalCache.evaluate_many` bulk
@@ -29,19 +31,25 @@ today's apps (the golden A/B property the tests pin down).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..hardware.config import ImplConfig
+from ..hardware.config import ImplConfig, knob_tuple
 from ..hardware.fpga_model import FPGAModel
 from ..hardware.model_cache import CachedEstimate, kernel_signature, model_cache
 from ..hardware.specs import DeviceType
 from ..patterns.ppg import Kernel
 from .design_point import DesignPoint, KernelDesignSpace
+from .dse import (
+    KnobLattice,
+    _evaluate,
+    _subsample,
+    check_target_points,
+    prune_invalid_configs,
+)
 from .pareto import IncrementalHypervolume, ParetoFrontier
 
 __all__ = [
@@ -166,9 +174,9 @@ def search_rng(seed: int, kernel: Kernel, spec) -> np.random.Generator:
 
 
 def _proxy_objectives(
-    kernel: Kernel, spec, configs: Sequence[ImplConfig]
+    kernel: Kernel, spec, knobs: Mapping[str, np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Roofline-style screening objectives, vectorized over configs.
+    """Roofline-style screening objectives, vectorized over knob columns.
 
     Deliberately *not* the real models: no occupancy tables, no
     calibration bias, no resource placement — just monotone trends in
@@ -176,57 +184,50 @@ def _proxy_objectives(
     without touching the model cache.  Used only to rank
     successive-halving pools; proxy numbers never reach a DesignPoint.
     """
-    n = len(configs)
-    freq = np.fromiter((c.freq_scale for c in configs), np.float64, n)
-    unroll = np.fromiter((float(c.unroll) for c in configs), np.float64, n)
-    wg = np.fromiter((float(c.work_group_size) for c in configs), np.float64, n)
-    fused = np.fromiter((c.fused for c in configs), np.bool_, n)
+    freq = knobs["freq_scale"]
+    unroll = knobs["unroll"].astype(np.float64)
+    wg = knobs["work_group_size"].astype(np.float64)
     ops = float(kernel.total_ops)
     io = float(max(kernel.io_bytes, 1))
     dynamic = spec.peak_power_w - spec.idle_power_w
     if spec.device_type == DeviceType.GPU:
-        coal = np.where(
-            np.fromiter((c.memory_coalescing for c in configs), np.bool_, n),
-            1.0,
-            0.55,
-        )
-        scratch = np.where(
-            np.fromiter((c.use_scratchpad for c in configs), np.bool_, n), 0.8, 1.0
-        )
+        coal = np.where(knobs["memory_coalescing"], 1.0, 0.55)
+        scratch = np.where(knobs["use_scratchpad"], 0.8, 1.0)
         occ = np.minimum(wg / 256.0, 1.0) * np.sqrt(np.minimum(unroll / 4.0, 1.0))
         occ = np.maximum(occ, 0.05)
         compute = ops / (spec.peak_gflops * 1e6 * freq * occ)
         memory = io * scratch / (spec.mem_bandwidth_gbps * 1e6 * coal)
         power = spec.idle_power_w + dynamic * occ * freq**2.2
     else:
-        cu = np.fromiter((float(c.compute_units) for c in configs), np.float64, n)
-        ports = np.fromiter((float(c.bram_ports) for c in configs), np.float64, n)
-        pipelined = np.fromiter((c.pipelined for c in configs), np.bool_, n)
+        cu = knobs["compute_units"].astype(np.float64)
+        ports = knobs["bram_ports"].astype(np.float64)
         lanes = np.maximum(unroll * cu, 1.0)
-        ii = np.where(pipelined, 1.0, 4.0)
+        ii = np.where(knobs["pipelined"], 1.0, 4.0)
         starve = np.maximum(lanes / np.maximum(ports * 32.0, 1.0), 1.0)
         fmax = spec.peak_freq_mhz * spec.achievable_freq_frac * freq
         compute = ops * ii * starve / (lanes * fmax * 1e3)
-        bw = np.where(
-            np.fromiter((c.double_buffer for c in configs), np.bool_, n), 0.75, 0.45
-        )
+        bw = np.where(knobs["double_buffer"], 0.75, 0.45)
         memory = io / (spec.mem_bandwidth_gbps * 1e6 * bw)
         util = np.minimum((lanes + ports) / 64.0, 1.0)
         power = spec.idle_power_w + dynamic * np.maximum(util, 0.05) * freq**2
     latency = np.maximum(compute, memory) + 0.3 * np.minimum(compute, memory)
-    latency = np.where(fused, latency * 0.9, latency)
+    latency = np.where(knobs["fused"], latency * 0.9, latency)
     return latency, power
 
 
 def _front_mask(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Membership mask of the 2-D minimization Pareto front."""
+    """Membership mask of the 2-D minimization Pareto front.
+
+    In (f1, f2) lexicographic order a point is on the front iff its f2
+    is strictly below every earlier point's (objectives are finite).
+    """
     order = np.lexsort((f2, f1))
+    ranked = f2[order]
+    best_before = np.empty_like(ranked)
+    best_before[:1] = np.inf
+    np.minimum.accumulate(ranked[:-1], out=best_before[1:])
     mask = np.zeros(len(f1), dtype=bool)
-    best = np.inf
-    for j in order:
-        if f2[j] < best:
-            mask[j] = True
-            best = f2[j]
+    mask[order] = ranked < best_before
     return mask
 
 
@@ -252,22 +253,24 @@ def _normalized(values: np.ndarray) -> np.ndarray:
 
 
 def _successive_halving(
-    configs: Sequence[ImplConfig],
     proxy_lat: np.ndarray,
     proxy_pow: np.ndarray,
     search: SearchConfig,
     stats: SearchStats,
-) -> List[int]:
+) -> np.ndarray:
     """Shrink the candidate pool to the GA population size, rung by rung.
 
     Each rung halves the pool (the final rung clamps to the population
     size) under a rotating latency/power blend; the proxy-Pareto members
     of the current pool are always retained so neither extreme of the
-    trade-off can be screened out.  Selection is a stable argsort over
-    proxy scores — fully deterministic, no RNG involved.
+    trade-off can be screened out, and the rest of the rung is filled
+    with the best-scoring non-front members.  Selection is a stable
+    argsort over proxy scores — fully deterministic, no RNG involved.
+    Returns the surviving candidate positions in ascending (enumeration)
+    order.
     """
     target = search.population
-    pool = list(range(len(configs)))
+    pool = np.arange(len(proxy_lat))
     for rung in range(search.rungs):
         if len(pool) <= target:
             break
@@ -279,21 +282,14 @@ def _successive_halving(
         weight = (rung + 0.5) / search.rungs
         score = weight * _normalized(lat) + (1.0 - weight) * _normalized(pw)
         order = np.argsort(score, kind="stable")
-        kept: List[int] = []
-        seen = set()
-        for j in np.nonzero(_front_mask(lat, pw))[0]:
-            kept.append(pool[j])
-            seen.add(pool[j])
-        for j in order:
-            if len(kept) >= max(keep_n, len(seen)):
-                break
-            idx = pool[int(j)]
-            if idx not in seen:
-                seen.add(idx)
-                kept.append(idx)
-        kept.sort()  # pool order = enumeration order, not score order
-        stats.rungs.append(RungStats(rung=rung, pool=len(pool), kept=len(kept)))
-        pool = kept
+        keep = _front_mask(lat, pw)
+        fill = keep_n - int(keep.sum())
+        if fill > 0:
+            keep[order[~keep[order]][:fill]] = True
+        stats.rungs.append(
+            RungStats(rung=rung, pool=len(pool), kept=int(keep.sum()))
+        )
+        pool = pool[keep]
     return pool
 
 
@@ -309,7 +305,7 @@ def _selection_keys(
     ranks = _pareto_ranks(lat, pw)
     score = 0.5 * _normalized(lat) + 0.5 * _normalized(pw)
     return [
-        (int(ranks[i]), float(score[i]), dataclasses.astuple(population[i][0]))
+        (int(ranks[i]), float(score[i]), knob_tuple(population[i][0]))
         for i in range(len(population))
     ]
 
@@ -321,8 +317,7 @@ def _tournament(
     size: int,
 ) -> ImplConfig:
     entrants = rng.integers(0, len(population), size=min(size, len(population)))
-    best = min(entrants, key=lambda i: keys[int(i)])
-    return population[int(best)][0]
+    return population[min(entrants.tolist(), key=keys.__getitem__)][0]
 
 
 def _points_of(
@@ -382,8 +377,7 @@ def explore_kernel_guided(
     space (built from every feasible evaluated point, with the stats
     attached as ``space.search_stats``) plus the :class:`SearchStats`.
     """
-    from .dse import _evaluate, _subsample, enumerate_configs, prune_invalid_configs
-
+    check_target_points(target_points)
     search = search or SearchConfig()
     stats = SearchStats(kernel_name=kernel.name, platform=spec.name)
     if validate:
@@ -392,39 +386,48 @@ def explore_kernel_guided(
         run_lint(kernel, LintContext(spec=spec)).raise_if_errors(
             f"kernel {kernel.name!r}"
         )
-    configs = enumerate_configs(kernel, spec, overrides=candidate_overrides)
-    stats.explored = len(configs)
-    pruned_set: frozenset = frozenset()
-    if validate:
-        kept, _report = prune_invalid_configs(kernel, spec, configs)
-        stats.pruned_invalid = len(configs) - len(kept)
-        pruned_set = frozenset(set(configs) - set(kept))
-        configs = kept
-
-    if len(configs) <= search.max_evals:
-        # Budget covers the whole space: evaluate everything, so the
-        # guided front IS the exhaustive front.
-        stats.exhaustive_equivalent = True
-        stats.evaluations = len(configs)
-        points = _evaluate(kernel, spec, configs)
-        return _finish(kernel, spec, points, target_points, stats, _subsample)
+    lattice = KnobLattice.of(kernel, spec, candidate_overrides)
+    stats.explored = lattice.size
+    pruned: Set[ImplConfig] = set()
+    # Candidates are lattice indices; only the halving survivors and
+    # the GA children become config objects.
+    candidates = np.arange(lattice.size)
+    if validate or lattice.size <= search.max_evals:
+        # Lint needs every config, and a space within budget is
+        # evaluated whole: both materialize the enumeration.
+        configs = lattice.configs()
+        if validate:
+            kept, _report = prune_invalid_configs(kernel, spec, configs)
+            stats.pruned_invalid = len(configs) - len(kept)
+            pruned = set(configs).difference(kept)
+            candidates = np.flatnonzero([c not in pruned for c in configs])
+            configs = kept
+        if len(configs) <= search.max_evals:
+            # Budget covers the whole space: evaluate everything, so the
+            # guided front IS the exhaustive front.
+            stats.exhaustive_equivalent = True
+            stats.evaluations = len(configs)
+            points = _evaluate(kernel, spec, configs)
+            return _finish(kernel, spec, points, target_points, stats)
 
     rng = search_rng(search.seed if search.seed is not None else 0, kernel, spec)
+    knobs = {name: col[candidates] for name, col in lattice.columns().items()}
 
     # FPGA placement screen: the vectorized resource model rejects
     # un-placeable configs without spending latency/power evaluations.
     if spec.device_type == DeviceType.FPGA:
-        feasible = FPGAModel(spec).feasible_batch(kernel, configs)
-        stats.screened_infeasible = int(len(configs) - int(feasible.sum()))
-        configs = [c for c, ok in zip(configs, feasible) if ok]
-    if not configs:
+        feasible = FPGAModel(spec).feasible_columns(kernel, knobs)
+        stats.screened_infeasible = int(len(feasible) - int(feasible.sum()))
+        candidates = candidates[feasible]
+        knobs = {name: column[feasible] for name, column in knobs.items()}
+    if not len(candidates):
         raise RuntimeError(
             f"no feasible design for kernel {kernel.name!r} on {spec.name!r}"
         )
 
-    proxy_lat, proxy_pow = _proxy_objectives(kernel, spec, configs)
-    pool = _successive_halving(configs, proxy_lat, proxy_pow, search, stats)
-    seeds = [configs[i] for i in pool][: search.max_evals]
+    proxy_lat, proxy_pow = _proxy_objectives(kernel, spec, knobs)
+    pool = _successive_halving(proxy_lat, proxy_pow, search, stats)
+    seeds = [lattice.config(int(i)) for i in candidates[pool[: search.max_evals]]]
 
     evaluated: Dict[ImplConfig, CachedEstimate] = {}
     estimates = model_cache.evaluate_many(kernel, spec, seeds)
@@ -450,7 +453,10 @@ def explore_kernel_guided(
         GenerationStats(0, stats.evaluations, len(front), front.area)
     )
 
-    gene_names, gene_values, forced = _gene_space(kernel, spec, candidate_overrides)
+    # Children are deduplicated by genes, before any config is built:
+    # designs already evaluated, pending or lint-pruned are skipped.
+    seen = {lattice.genes(c) for c in evaluated}
+    seen.update(lattice.genes(c) for c in pruned)
     stall = 0
     for gen in range(1, search.generations + 1):
         remaining = search.max_evals - stats.evaluations
@@ -458,19 +464,16 @@ def explore_kernel_guided(
             break
         keys = _selection_keys(population)
         children: List[ImplConfig] = []
-        pending = set()
         attempts = 0
         want = min(search.population, remaining)
         while len(children) < want and attempts < 20 * search.population:
             attempts += 1
-            child = _breed(
-                rng, population, keys, search, gene_names, gene_values, forced
-            )
-            if child in evaluated or child in pending or child in pruned_set:
+            genes = _breed(rng, population, keys, search, lattice)
+            if genes in seen:
                 stats.skipped += 1
                 continue
-            pending.add(child)
-            children.append(child)
+            seen.add(genes)
+            children.append(lattice.build(genes))
         if not children:
             break
         estimates = model_cache.evaluate_many(kernel, spec, children)
@@ -491,7 +494,7 @@ def explore_kernel_guided(
             break
 
     points = _points_of(kernel, spec, evaluated)
-    return _finish(kernel, spec, points, target_points, stats, _subsample)
+    return _finish(kernel, spec, points, target_points, stats)
 
 
 def _finish(
@@ -500,14 +503,13 @@ def _finish(
     points: List[DesignPoint],
     target_points: Optional[int],
     stats: SearchStats,
-    subsample,
 ) -> Tuple[KernelDesignSpace, SearchStats]:
     if not points:
         raise RuntimeError(
             f"no feasible design for kernel {kernel.name!r} on {spec.name!r}"
         )
     if target_points is not None:
-        points = subsample(points, target_points)
+        points = _subsample(points, target_points)
     space = KernelDesignSpace(
         kernel.name,
         spec.name,
@@ -520,48 +522,33 @@ def _finish(
     return space, stats
 
 
-def _gene_space(
-    kernel: Kernel, spec, overrides: Optional[Dict[str, Sequence]]
-) -> Tuple[List[str], Dict[str, Tuple], Dict[str, object]]:
-    """Genome layout: knob names, per-knob alleles, forced assignments.
-
-    Children are always built from the enumerated candidate lists (plus
-    the fusion options), so every bred config lies inside the
-    enumerated space — lint-pruned children are simply skipped.
-    """
-    from .dse import _knob_space
-
-    candidates, forced, fused_options = _knob_space(kernel, spec, overrides)
-    names = sorted(candidates) + ["fused"]
-    values = {name: tuple(candidates[name]) for name in sorted(candidates)}
-    values["fused"] = tuple(fused_options)
-    return names, values, forced
-
-
 def _breed(
     rng: np.random.Generator,
     population: Sequence[Tuple[ImplConfig, float, float]],
     keys: Sequence[Tuple],
     search: SearchConfig,
-    gene_names: List[str],
-    gene_values: Dict[str, Tuple],
-    forced: Dict[str, object],
-) -> ImplConfig:
-    """One child: tournament parents, uniform crossover, mutation."""
+    lattice: KnobLattice,
+) -> Tuple:
+    """One child's genes: tournament parents, uniform crossover, mutation.
+
+    Genes are the lattice's knobs and mutation resamples from its
+    alleles, so every child lies inside the enumerated space —
+    lint-pruned children are simply skipped by the caller.
+    """
     parent = _tournament(rng, population, keys, search.tournament)
-    genes = [getattr(parent, name) for name in gene_names]
+    genes = [getattr(parent, name) for name in lattice.names]
     if float(rng.random()) < search.crossover_rate:
         other = _tournament(rng, population, keys, search.tournament)
-        for k, name in enumerate(gene_names):
-            if float(rng.random()) < 0.5:
+        # One uniform draw per gene, in gene order (a vector draw
+        # consumes the stream exactly like per-gene scalar draws).
+        swap = rng.random(len(genes)) < 0.5
+        for k, name in enumerate(lattice.names):
+            if swap[k]:
                 genes[k] = getattr(other, name)
-    for k, name in enumerate(gene_names):
+    for k, alleles in enumerate(lattice.alleles):
         if float(rng.random()) < search.mutation_rate:
-            alleles = gene_values[name]
             genes[k] = alleles[int(rng.integers(len(alleles)))]
-    assignment = dict(zip(gene_names, genes))
-    assignment.update(forced)
-    return ImplConfig(**assignment)
+    return tuple(genes)
 
 
 def _survivors(

@@ -16,7 +16,7 @@ import networkx as nx
 from .annotations import Pattern, PatternKind, Workload
 from .cdfg import CDFG, lower_pattern
 
-__all__ = ["PPGEdge", "PPG", "Kernel"]
+__all__ = ["PPGEdge", "PPG", "KernelProfile", "Kernel"]
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,16 @@ class PPG:
     def __init__(self, name: str = "kernel") -> None:
         self.name = name
         self.graph = nx.DiGraph()
+        #: Bumped by every :meth:`add_pattern` and :meth:`connect`; the
+        #: key :class:`Kernel` caches its :class:`KernelProfile` under.
+        self.version = 0
 
     # -- construction ------------------------------------------------------
 
     def add_pattern(self, pattern: Pattern) -> Pattern:
         """Insert a pattern node (idempotent)."""
         self.graph.add_node(pattern)
+        self.version += 1
         return pattern
 
     def connect(
@@ -72,6 +76,7 @@ class PPG:
             bytes_moved = src.output.nbytes
         edge = PPGEdge(src, dst, bytes_moved)
         self.graph.add_edge(src, dst, edge=edge)
+        self.version += 1
         return edge
 
     # -- queries -----------------------------------------------------------
@@ -126,6 +131,63 @@ class PPG:
         )
 
 
+@dataclass(frozen=True)
+class KernelProfile:
+    """One pass over a kernel's PPG: everything the models aggregate.
+
+    The hardware models, the model-cache signature and the optimizers
+    read these on every evaluation; :attr:`Kernel.profile` computes them
+    once per PPG version instead of re-walking the graph per call.
+    """
+
+    #: Patterns in topological order.
+    patterns: Tuple[Pattern, ...]
+    workload: Workload
+    total_ops: float
+    io_bytes: int
+    intermediate_bytes: int
+    resident_stationary_bytes: int
+    resident_streamed_bytes: int
+    max_data_parallelism: int
+    pattern_kinds: Tuple[PatternKind, ...]
+
+    @classmethod
+    def of(cls, ppg: PPG) -> "KernelProfile":
+        patterns = tuple(ppg.patterns)
+        total_ops = sum(p.workload.total_ops for p in patterns)
+        elements = max(p.workload.elements for p in patterns)
+        bytes_in = sum(sum(t.nbytes for t in p.inputs) for p in ppg.sources())
+        bytes_out = sum(p.output.nbytes for p in ppg.sinks())
+        resident: Dict[bool, Dict[str, int]] = {True: {}, False: {}}
+        for pattern in patterns:
+            for t in pattern.inputs:
+                if t.resident:
+                    resident[t.stationary][t.name] = t.nbytes
+        return cls(
+            patterns=patterns,
+            workload=Workload(
+                elements=elements,
+                ops_per_element=total_ops / elements,
+                bytes_in=bytes_in,
+                bytes_out=bytes_out,
+                op_kind=patterns[0].workload.op_kind,
+                access_regularity=min(
+                    p.workload.access_regularity for p in patterns
+                ),
+                sequential_steps=max(
+                    p.workload.sequential_steps for p in patterns
+                ),
+            ),
+            total_ops=total_ops,
+            io_bytes=bytes_in + bytes_out,
+            intermediate_bytes=ppg.communication_bytes(),
+            resident_stationary_bytes=sum(resident[True].values()),
+            resident_streamed_bytes=sum(resident[False].values()),
+            max_data_parallelism=max(p.data_parallelism for p in patterns),
+            pattern_kinds=tuple(dict.fromkeys(p.kind for p in patterns)),
+        )
+
+
 class Kernel:
     """An OpenCL kernel: a named PPG plus its lowered CDFGs.
 
@@ -144,6 +206,7 @@ class Kernel:
         self.name = name
         self.ppg = ppg
         self._cdfgs: Dict[Pattern, CDFG] = {}
+        self._profile: Optional[Tuple[PPG, int, KernelProfile]] = None
         #: Calibration multipliers on modelled latency, keyed by
         #: :class:`~repro.hardware.specs.DeviceType`.  The analytical
         #: models are parameterized from public datasheets only; these
@@ -167,49 +230,48 @@ class Kernel:
         return self._cdfgs[pattern]
 
     @property
+    def profile(self) -> KernelProfile:
+        """The PPG's aggregates, recomputed only when the PPG changes
+        (a new :attr:`PPG.version` or a rebound :attr:`ppg`)."""
+        cached = self._profile
+        if (
+            cached is None
+            or cached[0] is not self.ppg
+            or cached[1] != self.ppg.version
+        ):
+            cached = (self.ppg, self.ppg.version, KernelProfile.of(self.ppg))
+            self._profile = cached
+        return cached[2]
+
+    @property
     def patterns(self) -> List[Pattern]:
-        return self.ppg.patterns
+        return list(self.profile.patterns)
 
     @property
     def pattern_kinds(self) -> Tuple[PatternKind, ...]:
         """Distinct pattern kinds, in first-appearance order (Table II)."""
-        seen: List[PatternKind] = []
-        for p in self.patterns:
-            if p.kind not in seen:
-                seen.append(p.kind)
-        return tuple(seen)
+        return self.profile.pattern_kinds
 
     # -- aggregate workload, consumed by the hardware models ---------------
 
     @property
     def total_ops(self) -> float:
         """Total arithmetic operations per kernel invocation."""
-        return sum(p.workload.total_ops for p in self.patterns)
+        return self.profile.total_ops
 
     @property
     def io_bytes(self) -> int:
         """External input + output bytes (excludes inter-pattern traffic)."""
-        srcs, snks = self.ppg.sources(), self.ppg.sinks()
-        bytes_in = sum(sum(t.nbytes for t in p.inputs) for p in srcs)
-        bytes_out = sum(p.output.nbytes for p in snks)
-        return bytes_in + bytes_out
+        return self.profile.io_bytes
 
     @property
     def intermediate_bytes(self) -> int:
         """Inter-pattern traffic (fusion target)."""
-        return self.ppg.communication_bytes()
+        return self.profile.intermediate_bytes
 
     @property
     def max_data_parallelism(self) -> int:
-        return max(p.data_parallelism for p in self.patterns)
-
-    def _resident(self, stationary: bool) -> int:
-        seen: Dict[str, int] = {}
-        for pattern in self.patterns:
-            for t in pattern.inputs:
-                if t.resident and t.stationary == stationary:
-                    seen[t.name] = t.nbytes
-        return sum(seen.values())
+        return self.profile.max_data_parallelism
 
     @property
     def resident_bytes(self) -> int:
@@ -218,35 +280,24 @@ class Kernel:
         These persist across invocations and are re-read every
         sequential step; see :class:`~repro.patterns.annotations.Tensor`.
         """
-        return self._resident(True) + self._resident(False)
+        profile = self.profile
+        return profile.resident_stationary_bytes + profile.resident_streamed_bytes
 
     @property
     def resident_stationary_bytes(self) -> int:
         """Resident bytes reused unchanged by every step (LSTM weights):
         an FPGA pins a compressed copy in BRAM once."""
-        return self._resident(True)
+        return self.profile.resident_stationary_bytes
 
     @property
     def resident_streamed_bytes(self) -> int:
         """Resident bytes where each step needs a different slice
         (per-layer DNN weights): streamed per step on all platforms."""
-        return self._resident(False)
+        return self.profile.resident_streamed_bytes
 
     def workload_summary(self) -> Workload:
         """Aggregate workload descriptor for the whole kernel."""
-        elements = max(p.workload.elements for p in self.patterns)
-        total_ops = self.total_ops
-        regularity = min(p.workload.access_regularity for p in self.patterns)
-        srcs, snks = self.ppg.sources(), self.ppg.sinks()
-        return Workload(
-            elements=elements,
-            ops_per_element=total_ops / elements,
-            bytes_in=sum(sum(t.nbytes for t in p.inputs) for p in srcs),
-            bytes_out=sum(p.output.nbytes for p in snks),
-            op_kind=self.patterns[0].workload.op_kind,
-            access_regularity=regularity,
-            sequential_steps=max(p.workload.sequential_steps for p in self.patterns),
-        )
+        return self.profile.workload
 
     def __repr__(self) -> str:
         kinds = ",".join(k.value for k in self.pattern_kinds)

@@ -9,7 +9,9 @@ change to any dispatch decision, noise draw or emission shows up as a
 changed digest.
 
 Single-node cases: six apps x {fault_free, plan_cached, chaos,
-traced} on Setting-I Heter-Poly through ``run_simulation``.  Fleet
+traced, sampled} on Setting-I Heter-Poly through ``run_simulation``;
+``sampled`` digests the traced run's JSONL after head sampling
+(:data:`SAMPLING`).  Fleet
 cases: an ASR flash-crowd replay x {fault_free, chaos (a fault
 schedule on every node), traced (``trace_nodes=True``)} through
 ``ClusterSimulation``.
@@ -35,19 +37,21 @@ import numpy as np
 from repro import apps as apps_mod
 from repro import runtime
 from repro.faults import FaultSchedule
-from repro.obs import SpanTracer
+from repro.obs import SamplingPolicy, SpanTracer, sample_events
 from repro.scheduler import SchedulePlanCache
 
 DIGEST_PATH = Path(__file__).with_name("runtime_digests.json")
 
 APPS = ("ASR", "CS", "FQT", "IR", "MF", "WT")
-SINGLE_MODES = ("fault_free", "plan_cached", "chaos", "traced")
+SINGLE_MODES = ("fault_free", "plan_cached", "chaos", "traced", "sampled")
 FLEET_MODES = ("fault_free", "chaos", "traced")
 
 #: Single-node stream: Poisson at RATE_RPS for DURATION_MS, seeded.
 RATE_RPS = 80.0
 DURATION_MS = 2_500.0
 SEED = 7
+#: Head sampling of the ``sampled`` mode's exported event stream.
+SAMPLING = SamplingPolicy(head_rate=0.1, seed=0)
 #: Fleet replay: an ASR flash crowd over FLEET_MS on 1-4 nodes.
 FLEET_MS = 16_000.0
 FLEET_MAX_NODES = 4
@@ -78,8 +82,8 @@ def _request_lines(requests):
         )
 
 
-def _jsonl_lines(tracer):
-    for e in tracer.events:
+def _jsonl_lines(events):
+    for e in events:
         yield json.dumps(e.to_dict(), sort_keys=True)
 
 
@@ -109,7 +113,7 @@ def single_node_digest(name: str, mode: str, engine: str) -> str:
         kw["faults"] = _chaos_schedule(
             [d for d, _ in system.device_inventory()], DURATION_MS, SEED
         )
-    elif mode == "traced":
+    elif mode in ("traced", "sampled"):
         tracer = kw["tracer"] = SpanTracer()
     elif mode != "fault_free":
         raise ValueError(f"unknown mode {mode!r}")
@@ -122,8 +126,10 @@ def single_node_digest(name: str, mode: str, engine: str) -> str:
         lines += [
             f"{k} {v!r}" for k, v in sorted(result.faults.summary().items())
         ]
-    if tracer is not None:
-        lines += list(_jsonl_lines(tracer))
+    if mode == "traced":
+        lines += list(_jsonl_lines(tracer.events))
+    elif mode == "sampled":
+        lines += list(_jsonl_lines(sample_events(tracer.events, SAMPLING).events))
     return _sha(lines)
 
 
@@ -168,7 +174,7 @@ def fleet_digest(mode: str) -> str:
     ]
     lines += [repr(float(w)) for w in result.power_bins_w]
     if tracer is not None:
-        lines += list(_jsonl_lines(tracer))
+        lines += list(_jsonl_lines(tracer.events))
     return _sha(lines)
 
 

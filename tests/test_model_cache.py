@@ -56,6 +56,24 @@ class TestKeying:
         assert cache.misses == 2 and cache.hits == 0
         assert second.latency_ms > first.latency_ms
 
+    def test_ppg_mutation_invalidates(self):
+        """A PPG changed after a lookup gets a fresh signature: the
+        stashed digest is keyed on the PPG version."""
+        from repro.patterns import Map, Tensor
+
+        kernel = small_kernel("K")
+        cache = ModelEvalCache()
+        config = ImplConfig()
+        first = cache.evaluate(kernel, AMD_W9100, config)
+        stale = kernel_signature(kernel)
+        kernel.ppg.add_pattern(
+            Map((Tensor("extra", (1 << 16,), "fp32"),), ops_per_element=64.0)
+        )
+        assert cache._signature_of(kernel) == kernel_signature(kernel) != stale
+        second = cache.evaluate(kernel, AMD_W9100, config)
+        assert cache.misses == 2 and cache.hits == 0
+        assert second.latency_ms > first.latency_ms
+
 
 class TestHitsAndMisses:
     def test_hit_returns_identical_estimate(self):

@@ -144,3 +144,78 @@ class TestKernel:
         k = Kernel("k", ppg, platform_bias={DeviceType.FPGA: 2.5})
         assert k.latency_bias(DeviceType.FPGA) == 2.5
         assert k.latency_bias(DeviceType.GPU) == 1.0
+
+
+class TestKernelProfile:
+    def test_construction_bumps_version(self):
+        ppg = PPG("k")
+        assert ppg.version == 0
+        x = Tensor("x", (64,))
+        a = ppg.add_pattern(Map((x,)))
+        b = ppg.add_pattern(Map((x,)))
+        ppg.connect(a, b)
+        assert ppg.version == 3
+
+    def test_profile_computed_once_per_version(self):
+        ppg, m, r = _two_pattern_ppg()
+        k = Kernel("k", ppg)
+        profile = k.profile
+        k.workload_summary()
+        assert k.total_ops == profile.total_ops
+        assert k.profile is profile
+        assert k.workload_summary() is profile.workload
+        assert profile.patterns == (m, r)
+
+    def test_patterns_is_a_fresh_list(self):
+        ppg, m, r = _two_pattern_ppg()
+        k = Kernel("k", ppg)
+        listed = k.patterns
+        listed.clear()
+        assert k.patterns == [m, r]
+
+    @pytest.mark.parametrize("mutation", ["add_pattern", "connect"])
+    def test_mutated_ppg_recomputes(self, mutation):
+        ppg, m, r = _two_pattern_ppg()
+        k = Kernel("k", ppg)
+        before = k.profile
+        extra = Map((Tensor("y", (4096,)),), ops_per_element=3.0)
+        ppg.add_pattern(extra)
+        if mutation == "connect":
+            after_add = k.profile
+            ppg.connect(r, extra)
+            assert k.profile is not after_add
+        assert k.profile is not before
+        assert k.total_ops == before.total_ops + extra.workload.total_ops
+        assert extra in k.patterns
+        assert k.max_data_parallelism == max(
+            p.data_parallelism for p in ppg.patterns
+        )
+
+    def test_rebound_ppg_recomputes(self):
+        ppg, _, _ = _two_pattern_ppg()
+        k = Kernel("k", ppg)
+        before = k.profile
+        other = PPG("other")
+        only = other.add_pattern(Map((Tensor("z", (8,)),)))
+        k.ppg = other
+        assert k.profile is not before
+        assert k.patterns == [only]
+
+    def test_profile_matches_graph_walk(self):
+        """The cached aggregates equal a direct walk of the PPG."""
+        from repro.apps import build
+
+        for kernel in build("ASR").kernels:
+            ppg = kernel.ppg
+            order = ppg.patterns
+            assert kernel.patterns == order
+            assert kernel.total_ops == sum(p.workload.total_ops for p in order)
+            assert kernel.intermediate_bytes == ppg.communication_bytes()
+            assert kernel.io_bytes == sum(
+                sum(t.nbytes for t in p.inputs) for p in ppg.sources()
+            ) + sum(p.output.nbytes for p in ppg.sinks())
+            wl = kernel.workload_summary()
+            assert wl.elements == max(p.workload.elements for p in order)
+            assert wl.sequential_steps == max(
+                p.workload.sequential_steps for p in order
+            )

@@ -320,3 +320,38 @@ class TestEngineBoundaryProperties:
         assert _fpga_overlaps(event.node) == []
         assert _request_rows(legacy) == _request_rows(event)
         assert legacy.power_bins_w.tolist() == event.power_bins_w.tolist()
+
+
+class TestEnergyStepProperties:
+    """Step 2 (DESIGN.md §6): every accepted swap saves energy and keeps
+    the makespan within the bound, so energy never increases over the
+    step-1 schedule."""
+
+    @given(
+        app=_apps,
+        slack=st.floats(min_value=1.0, max_value=4.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_swaps_save_energy_within_bound(self, app, slack):
+        from repro.scheduler import DeviceSlot, EnergyOptimizer, LatencyOptimizer
+
+        app_, system, spaces = _serving_env(app)
+        devices = [
+            DeviceSlot(device_id, spec.name, spec.device_type)
+            for device_id, spec in system.device_inventory()
+        ]
+        latency = LatencyOptimizer(spaces)
+        step1 = latency.schedule(app_.graph, devices)
+        bound = step1.makespan_ms * slack
+        final, steps = EnergyOptimizer(spaces, latency).optimize(
+            app_.graph, devices, step1, bound
+        )
+        for step in steps:
+            assert step.energy_saved_mj > EnergyOptimizer.MIN_GAIN_MJ
+            assert step.makespan_ms <= bound
+        assert final.makespan_ms <= bound
+        assert final.total_energy_mj <= step1.total_energy_mj
+        saved = sum(step.energy_saved_mj for step in steps)
+        assert final.total_energy_mj == pytest.approx(
+            step1.total_energy_mj - saved, rel=1e-9, abs=1e-9
+        )

@@ -14,6 +14,7 @@ The contracts pinned down here are the ones the dse-perf CI job gates:
 """
 
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -21,10 +22,13 @@ import pytest
 
 from conftest import small_kernel
 from repro import apps, runtime
-from repro.hardware import AMD_W9100, XILINX_7V3, clear_model_cache
+from repro.benchref.harness import _DSE_SEARCH_OVERRIDES
+from repro.hardware import AMD_W9100, XILINX_7V3, ImplConfig, clear_model_cache
+from repro.hardware.config import knob_columns
 from repro.hardware.fpga_model import FPGAModel
 from repro.hardware.gpu_model import GPUModel
 from repro.hardware.model_cache import CachedEstimate, ModelEvalCache
+from repro.hardware.specs import DeviceType
 from repro.lint import LintContext, run_lint
 from repro.obs import MetricsRegistry, SpanTracer
 from repro.optim import (
@@ -35,16 +39,27 @@ from repro.optim import (
     hypervolume_2d,
     space_hypervolume,
 )
-from repro.optim.dse import enumerate_configs, explore_application
+from repro.optim.dse import (
+    KnobLattice,
+    _point_order_key,
+    enumerate_configs,
+    explore_application,
+    explore_kernel,
+    prune_invalid_configs,
+)
+from repro.optim.search import (
+    SearchStats,
+    _front_mask,
+    _normalized,
+    _proxy_objectives,
+    _successive_halving,
+)
 
 PLATFORMS = runtime.setting("I", "Heter-Poly").platforms
 
 #: The bench harness's synthetic enlargement (>=10x per device family),
-#: duplicated here so the quality tests pin the same space CI gates.
-ENLARGE = {
-    "freq_scale": tuple(round(float(v), 4) for v in np.linspace(0.3, 1.0, 20)),
-    "work_group_size": (32, 64, 96, 128, 192, 256, 384, 512),
-}
+#: so the quality tests pin the same space CI gates.
+ENLARGE = _DSE_SEARCH_OVERRIDES
 
 
 def _front_key(space):
@@ -323,6 +338,220 @@ class TestBudgetedQuality:
 
 
 # ---------------------------------------------------------------------------
+# Knob lattice: enumeration order, columns, lazily built designs
+# ---------------------------------------------------------------------------
+
+
+def _asr_lstm():
+    return next(k for k in apps.build("ASR").kernels if k.name == "LSTM_acoustic")
+
+
+class TestKnobLattice:
+    @pytest.mark.parametrize("spec", PLATFORMS, ids=lambda s: s.name)
+    def test_index_order_is_enumeration_order(self, spec):
+        """config(i) decodes the mixed-radix digits of index i; the
+        enumeration is itertools.product over sorted knobs, fused last."""
+        kernel = _asr_lstm()
+        lattice = KnobLattice.of(kernel, spec)
+        configs = lattice.configs()
+        assert configs == enumerate_configs(kernel, spec)
+        assert len(configs) == lattice.size
+        assert lattice.names[-1] == "fused"
+        assert list(lattice.names[:-1]) == sorted(lattice.names[:-1])
+        assert [lattice.config(i) for i in range(lattice.size)] == configs
+        assert [lattice.build(lattice.genes(c)) for c in configs] == configs
+        expected = [
+            dict(zip(lattice.names, values))
+            for values in itertools.product(*lattice.alleles)
+        ]
+        assert [
+            {n: getattr(c, n) for n in lattice.names} for c in configs
+        ] == expected
+
+    @pytest.mark.parametrize("spec", PLATFORMS, ids=lambda s: s.name)
+    def test_columns_equal_columns_of_the_configs(self, spec):
+        lattice = KnobLattice.of(_asr_lstm(), spec, ENLARGE)
+        got = lattice.columns()
+        want = knob_columns(lattice.configs())
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].dtype == want[name].dtype, name
+            assert np.array_equal(got[name], want[name]), name
+
+    def test_forced_knobs_apply_to_every_design(self):
+        """Irregular access forces coalescing on a GPU: not a lattice
+        knob, but set on every design and in every column."""
+        kernel = next(
+            k for k in apps.build("IR").kernels
+            if "memory_coalescing"
+            in KnobLattice.of(k, AMD_W9100).forced
+        )
+        lattice = KnobLattice.of(kernel, AMD_W9100)
+        assert "memory_coalescing" not in lattice.names
+        assert all(c.memory_coalescing for c in lattice.configs())
+        assert lattice.columns()["memory_coalescing"].all()
+
+    @pytest.mark.parametrize("spec", PLATFORMS, ids=lambda s: s.name)
+    def test_guided_builds_only_evaluated_designs(self, spec, monkeypatch):
+        """With validation off and a lattice over budget, the search
+        builds one ImplConfig per requested evaluation — never the
+        enumeration, and never a duplicate child."""
+        kernel = _asr_lstm()
+        search = SearchConfig(max_evals=128, seed=0)
+        assert KnobLattice.of(kernel, spec, ENLARGE).size > search.max_evals
+        built = []
+        check = ImplConfig.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(ImplConfig, "__post_init__", counting)
+        _, stats = explore_kernel_guided(
+            kernel, spec, search=search, candidate_overrides=ENLARGE
+        )
+        assert not stats.exhaustive_equivalent
+        assert stats.skipped > 0
+        assert len(built) == stats.evaluations
+        assert len(set(built)) == len(built)
+
+    def test_validated_seeds_come_from_the_lint_kept_designs(self):
+        """With validation on and a lattice over budget, the halving
+        seeds are the proxy survivors among the lint-kept designs, in
+        enumeration order — the lattice-index candidates map back to
+        the kept configs, not to positions in the kept list."""
+        kernel = _asr_lstm()
+        overrides = {"unroll": (1, 16, 256, 1024), "compute_units": (1, 4, 8)}
+        search = SearchConfig(max_evals=64, seed=0, generations=0)
+        model = FPGAModel(XILINX_7V3)
+        lattice = KnobLattice.of(kernel, XILINX_7V3, overrides)
+        assert lattice.size > search.max_evals
+        kept, _ = prune_invalid_configs(kernel, XILINX_7V3, lattice.configs())
+        knobs = knob_columns(kept)
+        feasible = model.feasible_columns(kernel, knobs)
+        kept = [c for c, ok in zip(kept, feasible) if ok]
+        knobs = {name: column[feasible] for name, column in knobs.items()}
+        lat, pw = _proxy_objectives(kernel, XILINX_7V3, knobs)
+        stats = SearchStats(kernel.name, XILINX_7V3.name)
+        want = [kept[i] for i in _successive_halving(lat, pw, search, stats)]
+
+        space, got = explore_kernel_guided(
+            kernel,
+            XILINX_7V3,
+            search=search,
+            validate=True,
+            candidate_overrides=overrides,
+        )
+        assert got.pruned_invalid > 0
+        assert got.evaluations == len(want)
+        assert {p.config for p in space.points} == {
+            c for c in want if model.feasible(kernel, c)
+        }
+
+
+def _front_mask_loop(f1, f2):
+    """Reference: the scalar sweep the vectorized mask replaced."""
+    mask = np.zeros(len(f1), dtype=bool)
+    best = np.inf
+    for j in np.lexsort((f2, f1)):
+        if f2[j] < best:
+            mask[j] = True
+            best = f2[j]
+    return mask
+
+
+def _halving_loop(proxy_lat, proxy_pow, search):
+    """Reference: the per-index selection loop the vectorized halving
+    replaced (front members first, then the stable score order)."""
+    pool = list(range(len(proxy_lat)))
+    for rung in range(search.rungs):
+        if len(pool) <= search.population:
+            break
+        keep_n = max(len(pool) // 2, search.population)
+        if rung == search.rungs - 1:
+            keep_n = search.population
+        lat, pw = proxy_lat[pool], proxy_pow[pool]
+        weight = (rung + 0.5) / search.rungs
+        score = weight * _normalized(lat) + (1.0 - weight) * _normalized(pw)
+        kept = [pool[j] for j in np.nonzero(_front_mask_loop(lat, pw))[0]]
+        seen = set(kept)
+        for j in np.argsort(score, kind="stable"):
+            if len(kept) >= max(keep_n, len(seen)):
+                break
+            if pool[int(j)] not in seen:
+                seen.add(pool[int(j)])
+                kept.append(pool[int(j)])
+        pool = sorted(kept)
+    return pool
+
+
+class TestVectorizedSelection:
+    """The numpy front mask and halving equal their loop references,
+    ties and duplicate objectives included."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_front_mask_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        # Coarse values force ties in both objectives.
+        f1 = rng.integers(0, 20, n).astype(float)
+        f2 = rng.integers(0, 20, n).astype(float)
+        assert np.array_equal(_front_mask(f1, f2), _front_mask_loop(f1, f2))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_halving_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(40, 2000))
+        lat = rng.integers(1, 50, n).astype(float)
+        pw = rng.integers(1, 50, n).astype(float)
+        search = SearchConfig(population=16, rungs=int(rng.integers(1, 5)))
+        stats = SearchStats("k", "p")
+        got = _successive_halving(lat, pw, search, stats)
+        assert got.tolist() == _halving_loop(lat, pw, search)
+
+
+class TestTargetPoints:
+    """``target_points`` edge cases on both explorers."""
+
+    def _explore(self, strategy, target):
+        kernel = _asr_lstm()
+        if strategy == "exhaustive":
+            return explore_kernel(kernel, AMD_W9100, target_points=target)
+        return explore_kernel_guided(
+            kernel,
+            AMD_W9100,
+            search=SearchConfig(max_evals=64, seed=0),
+            target_points=target,
+            candidate_overrides=ENLARGE,
+        )[0]
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "guided"])
+    def test_target_one_keeps_the_fastest_point(self, strategy):
+        full = self._explore(strategy, None)
+        (only,) = self._explore(strategy, 1).points
+        first = min(full.points, key=_point_order_key)
+        assert (only.config, only.latency_ms, only.power_w) == (
+            first.config,
+            first.latency_ms,
+            first.power_w,
+        )
+        assert only.latency_ms == full.min_latency().latency_ms
+
+    @pytest.mark.parametrize("target", [0, -3])
+    @pytest.mark.parametrize("strategy", ["exhaustive", "guided"])
+    def test_target_below_one_names_the_argument(self, strategy, target):
+        with pytest.raises(ValueError, match="target_points"):
+            self._explore(strategy, target)
+
+    def test_application_targets_validated(self):
+        kernel = _asr_lstm()
+        with pytest.raises(ValueError, match="target_points"):
+            explore_application(
+                [kernel], [AMD_W9100], {(kernel.name, DeviceType.GPU): 0}
+            )
+
+
+# ---------------------------------------------------------------------------
 # Reporting: metrics counters, trace events, pruned_invalid consistency
 # ---------------------------------------------------------------------------
 
@@ -483,7 +712,7 @@ class TestBatchFloatIdentity:
         kernel = small_kernel("edge")
         lat, power = GPUModel(AMD_W9100).estimate_batch(kernel, [])
         assert len(lat) == 0 and len(power) == 0
-        assert len(FPGAModel(XILINX_7V3).feasible_batch(kernel, [])) == 0
+        assert len(FPGAModel(XILINX_7V3).feasible_columns(kernel, knob_columns([]))) == 0
         with pytest.raises(ValueError):
             GPUModel(AMD_W9100).estimate_batch(kernel, [], batch=0)
 
