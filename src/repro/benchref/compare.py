@@ -23,8 +23,8 @@ __all__ = ["BaselineComparison", "compare_to_baseline", "load_bench_json"]
 #: Sections of a per-app entry that are gated.  ``dse`` tracks the
 #: offline exploration cost; ``sched`` tracks the cached runtime hot
 #: path (``cold_s`` = plan-cache fill, ``median_s`` = warm steady state);
-#: ``sim`` tracks the event-heap engine (``cold_s`` = plan/code-cache
-#: fill, ``median_s`` = warm event-engine steady state); ``cluster``
+#: ``sim`` tracks the simulation engine (``cold_s`` = plan/code-cache
+#: fill, ``median_s`` = warm engine steady state); ``cluster``
 #: tracks the fleet replay (dispatcher + autoscaler loop); ``obs``
 #: tracks the traced event engine (native in-loop span emission);
 #: ``dse_search`` tracks the budgeted guided explorer on the enlarged

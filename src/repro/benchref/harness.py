@@ -193,7 +193,7 @@ def _bench_sched(app, system, spaces, trials: int, seed: int) -> Dict:
     Replays the same seeded Poisson stream at a low and a high request
     rate.  One cached run fills a fresh
     :class:`~repro.scheduler.SchedulePlanCache` (the ``cached_cold_s``
-    fill cost), then each trial times an uncached run (the exact legacy
+    fill cost), then each trial times an uncached run (the default
     path, ``plan_cache=None``) back-to-back with a warm cached run
     (plan-cache hits + compiled dispatch + process-wide model-eval
     warmth).  Machine-speed noise (frequency scaling, a busy CI
@@ -295,21 +295,17 @@ _SIM_LOADS = {"low": (60.0, 6_000.0), "high": (400.0, 10_000.0)}
 
 
 def _bench_sim(app, system, spaces, trials: int, seed: int) -> Dict:
-    """Event-heap engine throughput vs. the legacy per-request loop.
+    """Simulation-engine throughput on seeded Poisson streams.
 
-    Replays the same seeded Poisson stream through
-    ``run_simulation(engine="legacy")`` (the pre-rewrite submit loop,
-    no plan cache — exactly what every caller ran before the engine
-    landed) and through ``engine="event"`` with a warm
-    :class:`~repro.scheduler.SchedulePlanCache` (the full fast path:
-    chunked arrival events, incremental EST tables, compiled per-plan
-    dispatch programs).  One warm-up event run fills the plan cache and
-    the process-wide code cache (``event_cold_s``); each trial then
-    times a legacy run back-to-back with a warm event run, and the
-    gated ``speedup`` is the median of the per-pair ratios — robust to
-    machine-speed drift, like the sched bench.  Both engines produce
-    float-identical request streams (``identical``), golden-tested in
-    ``tests/test_engine.py`` and re-checked here per load level.
+    Per load level, one cold run through ``run_simulation`` with a
+    fresh :class:`~repro.scheduler.SchedulePlanCache` fills the plan
+    cache and the process-wide dispatch-program code cache
+    (``event_cold_s``); each trial then times a warm run (the full fast
+    path: chunked arrivals, incremental EST tables, compiled per-plan
+    dispatch programs).  ``median_s``/``cold_s`` describe the high load
+    level and are gated against the baseline; float identity with the
+    per-request path is pinned by the golden digests, not re-checked
+    here.
     """
     from ..scheduler import SchedulePlanCache
 
@@ -318,58 +314,33 @@ def _bench_sim(app, system, spaces, trials: int, seed: int) -> Dict:
         arrivals = runtime.poisson_arrivals(
             rps, duration_ms, rng=np.random.default_rng(seed)
         )
-        results = {}
+        results = []
 
-        def run(engine, plan_cache=None, mode=None):
+        def run(plan_cache):
             res = runtime.run_simulation(
                 system, app, spaces, arrivals, seed=seed,
-                plan_cache=plan_cache, engine=engine,
+                plan_cache=plan_cache,
             )
-            if mode is not None and mode not in results:
-                results[mode] = res
-            return res
+            if not results:
+                results.append(res)
 
         clear_model_cache()
         cache = SchedulePlanCache()
-        event_cold_s = _timed_trials(
-            lambda: run("event", plan_cache=cache, mode="event"), 1
-        )[0]
-        legacy_s: List[float] = []
+        event_cold_s = _timed_trials(lambda: run(cache), 1)[0]
         event_warm_s: List[float] = []
         for _ in range(trials):
-            legacy_s += _timed_trials(lambda: run("legacy", mode="legacy"), 1)
-            event_warm_s += _timed_trials(
-                lambda: run("event", plan_cache=cache), 1
-            )
-
-        legacy_median = statistics.median(legacy_s)
+            event_warm_s += _timed_trials(lambda: run(cache), 1)
         event_warm = statistics.median(event_warm_s)
-        pair_speedups = [lg / ev for lg, ev in zip(legacy_s, event_warm_s)]
         n = len(arrivals)
-        identical = [
-            (r.arrival_ms, r.completion_ms, r.predicted_ms)
-            for r in results["legacy"].requests
-        ] == [
-            (r.arrival_ms, r.completion_ms, r.predicted_ms)
-            for r in results["event"].requests
-        ] and results["legacy"].power_bins_w.tolist() == results[
-            "event"
-        ].power_bins_w.tolist()
         loads[load_key] = {
             "rps": rps,
             "duration_ms": duration_ms,
             "requests": n,
-            "legacy_trial_s": legacy_s,
-            "legacy_median_s": legacy_median,
-            "legacy_req_per_s": n / legacy_median,
             "event_cold_s": event_cold_s,
             "event_warm_trial_s": event_warm_s,
             "event_warm_median_s": event_warm,
             "event_req_per_s": n / event_warm,
-            "pair_speedups": pair_speedups,
-            "speedup": statistics.median(pair_speedups),
-            "p99_ms": round(results["event"].p99_ms, 3),
-            "identical": identical,
+            "p99_ms": round(results[0].p99_ms, 3),
         }
 
     high = loads["high"]
@@ -379,13 +350,12 @@ def _bench_sim(app, system, spaces, trials: int, seed: int) -> Dict:
         "trial_s": [high["event_cold_s"]] + high["event_warm_trial_s"],
         "median_s": high["event_warm_median_s"],
         "cold_s": high["event_cold_s"],
-        "speedup": high["speedup"],
         "loads": loads,
     }
 
 
 #: (requests/sec, stream duration ms) per obs-bench load level — the
-#: sim-bench levels, so retained-speedup composes with the engine story.
+#: sim-bench levels, so the tracing overhead reads against the sim numbers.
 _OBS_LOADS = {"low": (60.0, 6_000.0), "high": (400.0, 10_000.0)}
 
 #: Head-sampling policy exercised per load level to document the
@@ -394,24 +364,18 @@ _OBS_SAMPLE_RATE = 0.1
 
 
 def _bench_obs(app, system, spaces, trials: int, seed: int) -> Dict:
-    """Traced-engine overhead and retained speedup vs. the legacy loop.
+    """What turning the tracer on costs the simulation engine.
 
-    The sim bench times the *untraced* engines; this section answers
-    the observability question PR 7 left open — what does turning the
-    tracer on cost?  Per load level it replays the same seeded stream
-    three ways: traced legacy (the golden anchor), traced event engine
-    (native buffered emission), and untraced event engine.  Each trial
-    times the three back-to-back; the gated ``speedup`` is the median
-    per-pair traced-legacy / traced-event ratio (the *retained* engine
-    speedup with tracing on, CI-gated via ``--min-obs-retention``), and
-    ``overhead`` is traced-event / untraced-event.  Event-stream
-    construction stays inside the timed window (buffered raw records);
-    :class:`~repro.obs.tracer.TraceEvent` materialization is lazy and
-    happens at export for either engine, so it is excluded
-    symmetrically.  One traced pair per level is byte-compared
-    (``identical``) — the same golden contract ``tests/test_engine.py``
-    enforces — and the level's stream is head+tail sampled at
-    ``_OBS_SAMPLE_RATE`` to document the bounded-artifact ratio.
+    Per load level it replays the same seeded stream traced and
+    untraced through the warm engine (plan cache filled by one cold
+    traced run, ``event_cold_s``); each trial times the two
+    back-to-back, and ``overhead`` is the traced / untraced median
+    ratio.  Event-stream construction stays inside the timed window
+    (buffered raw records); :class:`~repro.obs.tracer.TraceEvent`
+    materialization is lazy and happens at export, so it is excluded.
+    The level's stream is head+tail sampled at ``_OBS_SAMPLE_RATE`` to
+    document the bounded-artifact ratio.  Byte identity with the
+    per-request path's stream is pinned by the golden digests.
     """
     from ..obs.sampling import SamplingPolicy, sample_events
     from ..obs.tracer import SpanTracer
@@ -422,68 +386,46 @@ def _bench_obs(app, system, spaces, trials: int, seed: int) -> Dict:
         arrivals = runtime.poisson_arrivals(
             rps, duration_ms, rng=np.random.default_rng(seed)
         )
-        tracers: Dict[str, SpanTracer] = {}
+        tracers: List[SpanTracer] = []
 
-        def run(engine, plan_cache=None, traced=True, mode=None):
+        def run(plan_cache, traced=True):
             tracer = SpanTracer() if traced else None
             runtime.run_simulation(
                 system, app, spaces, arrivals, seed=seed,
-                plan_cache=plan_cache, engine=engine, tracer=tracer,
+                plan_cache=plan_cache, tracer=tracer,
             )
-            if mode is not None and mode not in tracers:
-                tracers[mode] = tracer
-            return tracer
+            if traced and not tracers:
+                tracers.append(tracer)
 
         clear_model_cache()
         cache = SchedulePlanCache()
-        event_cold_s = _timed_trials(
-            lambda: run("event", plan_cache=cache, mode="event"), 1
-        )[0]
-        legacy_s: List[float] = []
+        event_cold_s = _timed_trials(lambda: run(cache), 1)[0]
         event_s: List[float] = []
         untraced_s: List[float] = []
         for _ in range(trials):
-            legacy_s += _timed_trials(
-                lambda: run("legacy", mode="legacy"), 1
-            )
-            event_s += _timed_trials(
-                lambda: run("event", plan_cache=cache), 1
-            )
-            untraced_s += _timed_trials(
-                lambda: run("event", plan_cache=cache, traced=False), 1
-            )
+            event_s += _timed_trials(lambda: run(cache), 1)
+            untraced_s += _timed_trials(lambda: run(cache, traced=False), 1)
 
-        legacy_median = statistics.median(legacy_s)
         event_median = statistics.median(event_s)
         untraced_median = statistics.median(untraced_s)
-        pair_speedups = [lg / ev for lg, ev in zip(legacy_s, event_s)]
-        identical = [
-            e.to_dict() for e in tracers["legacy"].events
-        ] == [e.to_dict() for e in tracers["event"].events]
-        events = tracers["event"].events
+        events = tracers[0].events
         sampled = sample_events(
             events,
             SamplingPolicy(
                 head_rate=_OBS_SAMPLE_RATE, seed=seed, tail_qos_ms=app.qos_ms
             ),
         )
-        n = len(arrivals)
         loads[load_key] = {
             "rps": rps,
             "duration_ms": duration_ms,
-            "requests": n,
+            "requests": len(arrivals),
             "events": len(events),
-            "legacy_trial_s": legacy_s,
-            "legacy_median_s": legacy_median,
             "event_cold_s": event_cold_s,
             "event_trial_s": event_s,
             "event_median_s": event_median,
             "untraced_trial_s": untraced_s,
             "untraced_median_s": untraced_median,
-            "pair_speedups": pair_speedups,
-            "speedup": statistics.median(pair_speedups),
             "overhead": round(event_median / untraced_median, 4),
-            "identical": identical,
             "sampling": {
                 "head_rate": _OBS_SAMPLE_RATE,
                 "kept_events": len(sampled.events),
@@ -501,7 +443,6 @@ def _bench_obs(app, system, spaces, trials: int, seed: int) -> Dict:
         "trial_s": [high["event_cold_s"]] + high["event_trial_s"],
         "median_s": high["event_median_s"],
         "cold_s": high["event_cold_s"],
-        "speedup": high["speedup"],
         "overhead": high["overhead"],
         "loads": loads,
     }
@@ -727,10 +668,9 @@ def run_bench(
     simulation + sched + sim + cluster + obs + dse-search (everything),
     ``"sched"`` runs only the runtime sched benchmark (plan-cache
     on/off throughput), ``"sim"`` runs only the engine benchmark
-    (event-heap vs. legacy loop throughput), ``"cluster"`` runs only
-    the fleet replay benchmark, ``"obs"`` runs only the
-    tracing-overhead benchmark (retained traced-engine speedup vs. the
-    legacy loop), and ``"dse"`` runs only the guided-vs-exhaustive
+    (warm event-engine throughput), ``"cluster"`` runs only the fleet
+    replay benchmark, ``"obs"`` runs only the tracing-overhead
+    benchmark (traced vs. untraced engine), and ``"dse"`` runs only the guided-vs-exhaustive
     search benchmark (paired timing, eval counts, hypervolume ratio).
     """
     if trials < 1:
@@ -826,11 +766,11 @@ def render_bench(doc: Dict) -> str:
             s = row["sim"]
             high = s["loads"]["high"]
             lines.append(
-                f"  {name:4s} sim      {high['legacy_median_s']*1000:8.1f} ms legacy / "
+                f"  {name:4s} sim      {s['cold_s']*1000:8.1f} ms cold / "
                 f"{s['median_s']*1000:8.1f} ms event warm "
-                f"({s['speedup']:.2f}x, {high['requests']} reqs, "
+                f"({high['requests']} reqs, "
                 f"{high['event_req_per_s']:,.0f} req/s, "
-                f"identical={high['identical']})"
+                f"p99 {high['p99_ms']:.1f} ms)"
             )
         if "cluster" in row:
             c = row["cluster"]
@@ -849,12 +789,11 @@ def render_bench(doc: Dict) -> str:
             high = o["loads"]["high"]
             samp = high["sampling"]
             lines.append(
-                f"  {name:4s} obs     {high['legacy_median_s']*1000:8.1f} ms traced legacy / "
+                f"  {name:4s} obs     {high['untraced_median_s']*1000:8.1f} ms untraced / "
                 f"{o['median_s']*1000:8.1f} ms traced event "
-                f"({o['speedup']:.2f}x retained, {o['overhead']:.2f}x overhead, "
+                f"({o['overhead']:.2f}x overhead, "
                 f"{high['events']:,} events, "
-                f"sampled {samp['kept_events']:,}, "
-                f"identical={high['identical']})"
+                f"sampled {samp['kept_events']:,})"
             )
         if "dse_search" in row:
             d = row["dse_search"]

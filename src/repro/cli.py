@@ -56,18 +56,16 @@ Commands
 
 ``bench [--app NAME] [--suite full|sched|sim|cluster|obs|dse]
         [--trials 3] [--n-jobs 1] [--label L] [--check BASELINE]
-        [--max-ratio 2.0] [--min-sched-speedup X] [--min-sim-speedup X]
-        [--min-obs-retention X] [--min-dse-speedup X]
+        [--max-ratio 2.0] [--min-sched-speedup X] [--min-dse-speedup X]
         [--min-hypervolume-ratio X]``
     Deterministic performance benchmark: time per-app DSE (cold and
     cache-warm), the two-step scheduler, a fixed seeded simulation, the
     runtime ``sched`` suite (steady-state throughput with the
     schedule-plan cache on vs off, bit-identical results), the ``sim``
-    suite (event-heap engine vs. the legacy per-request loop,
-    float-identical results), the ``cluster`` fleet replay (mini
-    diurnal profile: throughput, p99, scale lag), the ``obs``
-    tracing-overhead suite (traced event engine vs. traced legacy
-    loop, byte-identical streams) and the ``dse`` search suite
+    suite (warm simulation-engine throughput at low and high load), the
+    ``cluster`` fleet replay (mini diurnal profile: throughput, p99,
+    scale lag), the ``obs`` tracing-overhead suite (traced vs. untraced
+    engine, sampled-artifact ratio) and the ``dse`` search suite
     (guided vs. exhaustive exploration on a >=10x-enlarged knob
     space: paired timing, evaluation counts, hypervolume ratio, and
     exact-front parity on the real space) over repeated trials; write
@@ -76,11 +74,10 @@ Commands
     suite.  ``--check`` gates the run against a baseline document
     (CI's ``perf-smoke`` job) and exits nonzero on a >``--max-ratio``
     normalized regression; ``--min-sched-speedup`` /
-    ``--min-sim-speedup`` / ``--min-obs-retention`` /
     ``--min-dse-speedup`` additionally fail when the warm plan-cached
-    (resp. event-engine, traced-engine, guided-search) speedup drops
-    below X, and ``--min-hypervolume-ratio`` fails when the guided
-    front recovers less than X of the exhaustive hypervolume.
+    (resp. guided-search) speedup drops below X, and
+    ``--min-hypervolume-ratio`` fails when the guided front recovers
+    less than X of the exhaustive hypervolume.
 
 ``obs APP [--rps 20] [--ms 4000] [--seed 0] [--out-dir obs_out]
         [--summary] [--crash DEV@MS] [--recover DEV@MS]``
@@ -236,16 +233,10 @@ def _lint_one_app(name: str, setting: str, dse: bool) -> LintReport:
 
 
 def _cmd_lint(args) -> int:
-    names = [n.upper() for n in (args.app or sorted(apps_mod.APP_BUILDERS))]
-    reports = {}
-    for name in names:
-        if name not in apps_mod.APP_BUILDERS:
-            print(
-                f"unknown app {name!r}; choose from {sorted(apps_mod.APP_BUILDERS)}",
-                file=sys.stderr,
-            )
-            return 2
-        reports[name] = _lint_one_app(name, args.setting, args.dse)
+    names = args.app or sorted(apps_mod.APP_BUILDERS)
+    reports = {
+        name: _lint_one_app(name, args.setting, args.dse) for name in names
+    }
     if args.json:
         print(
             json.dumps(
@@ -292,6 +283,40 @@ def _bounded(kind, low: float, strict: bool = True):
 _positive_float = _bounded(float, 0.0)
 _nonneg_float = _bounded(float, 0.0, strict=False)  # a rate; 0 = no load
 _positive_int = _bounded(int, 0)
+_nonneg_int = _bounded(int, 0, strict=False)
+
+
+def _fraction(text: str) -> float:
+    """Argparse type: a probability in [0, 1]."""
+    value = _nonneg_float(text)
+    if value > 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a number in [0, 1], got {text!r}"
+        )
+    return value
+
+
+def _n_jobs(text: str) -> int:
+    """Argparse type: a worker count >= 1, or -1 for all CPUs."""
+    if text.strip() == "-1":
+        return -1
+    try:
+        return _positive_int(text)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected a worker count >= 1 or -1 (all CPUs), got {text!r}"
+        ) from None
+
+
+def _app_name(text: str) -> str:
+    """Argparse type: a bundled benchmark's short name, case-insensitive
+    (returned upper-cased)."""
+    name = text.upper()
+    if name not in apps_mod.APP_BUILDERS:
+        raise argparse.ArgumentTypeError(
+            f"unknown app {text!r}; choose from {sorted(apps_mod.APP_BUILDERS)}"
+        )
+    return name
 
 
 def _parse_device_at(text: str):
@@ -354,15 +379,8 @@ def _cmd_faults(args) -> int:
         return 2
     system = runtime.setting(args.setting, args.system)
     policy = RetryPolicy()
-    names = [n.upper() for n in (args.app or ["ASR"])]
     rows = {}
-    for name in names:
-        if name not in apps_mod.APP_BUILDERS:
-            print(
-                f"unknown app {name!r}; choose from {sorted(apps_mod.APP_BUILDERS)}",
-                file=sys.stderr,
-            )
-            return 2
+    for name in args.app or ["ASR"]:
         app = apps_mod.build(name)
         spaces = app.explore(system.platforms)
         node = runtime.LeafNode(system, app, spaces)
@@ -434,13 +452,7 @@ def _cmd_obs(args) -> int:
         write_perfetto_json,
     )
 
-    name = args.app.upper()
-    if name not in apps_mod.APP_BUILDERS:
-        print(
-            f"unknown app {name!r}; choose from {sorted(apps_mod.APP_BUILDERS)}",
-            file=sys.stderr,
-        )
-        return 2
+    name = args.app
     system = runtime.setting(args.setting, args.system)
     app = apps_mod.build(name)
 
@@ -580,13 +592,7 @@ def _cmd_cluster(args) -> int:
     from .cluster import AutoscalerConfig, ClusterSimulation
     from .runtime.trace import synthesize_google_trace
 
-    name = (args.app or "ASR").upper()
-    if name not in apps_mod.APP_BUILDERS:
-        print(
-            f"unknown app {name!r}; choose from {sorted(apps_mod.APP_BUILDERS)}",
-            file=sys.stderr,
-        )
-        return 2
+    name = args.app
     config = AutoscalerConfig(
         min_nodes=args.min_nodes,
         max_nodes=args.max_nodes,
@@ -773,22 +779,18 @@ def _cmd_bench(args) -> int:
         write_bench_json,
     )
 
-    try:
-        doc = run_bench(
-            app_names=args.app,
-            setting=args.setting,
-            system_name=args.system,
-            trials=args.trials,
-            n_jobs=args.n_jobs,
-            rps=args.rps,
-            duration_ms=args.ms,
-            seed=args.seed,
-            label=args.label,
-            suite=args.suite,
-        )
-    except KeyError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    doc = run_bench(
+        app_names=args.app,
+        setting=args.setting,
+        system_name=args.system,
+        trials=args.trials,
+        n_jobs=args.n_jobs,
+        rps=args.rps,
+        duration_ms=args.ms,
+        seed=args.seed,
+        label=args.label,
+        suite=args.suite,
+    )
     out = args.out or default_output_path(args.label)
     write_bench_json(doc, out)
     if args.json:
@@ -804,8 +806,6 @@ def _cmd_bench(args) -> int:
         failed = failed or not comparison.ok
     for section, gate in (
         ("sched", args.min_sched_speedup),
-        ("sim", args.min_sim_speedup),
-        ("obs", args.min_obs_retention),
         ("dse_search", args.min_dse_speedup),
     ):
         if gate is None:
@@ -850,11 +850,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("dse", help="offline design-space exploration")
-    p.add_argument("app")
+    p.add_argument("app", type=_app_name)
     p.add_argument("--setting", default="I", choices=("I", "II", "III"))
     p.add_argument(
         "--n-jobs",
-        type=int,
+        type=_n_jobs,
         default=1,
         help="DSE worker processes (-1 = all CPUs); any count is bit-identical",
     )
@@ -866,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--budget",
-        type=int,
+        type=_positive_int,
         default=512,
         help="guided-search model-evaluation budget per kernel/device",
     )
@@ -879,12 +879,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_dse)
 
     p = sub.add_parser("schedule", help="two-step schedule of one request")
-    p.add_argument("app")
+    p.add_argument("app", type=_app_name)
     p.add_argument("--setting", default="I", choices=("I", "II", "III"))
     p.set_defaults(fn=_cmd_schedule)
 
     p = sub.add_parser("simulate", help="serve a Poisson request stream")
-    p.add_argument("app")
+    p.add_argument("app", type=_app_name)
     p.add_argument("rps", type=_nonneg_float)
     p.add_argument("--setting", default="I", choices=("I", "II", "III"))
     p.add_argument(
@@ -896,7 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("codegen", help="emit optimized OpenCL source")
-    p.add_argument("app")
+    p.add_argument("app", type=_app_name)
     p.add_argument("kernel")
     p.add_argument("--fpga", action="store_true")
     p.add_argument("--wg", type=int, default=64)
@@ -914,6 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--app",
         action="append",
+        type=_app_name,
         help="benchmark short name (repeatable); all six when omitted",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -929,6 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--app",
         action="append",
+        type=_app_name,
         help="benchmark short name (repeatable); ASR when omitted",
     )
     p.add_argument("--setting", default="I", choices=("I", "II", "III"))
@@ -971,7 +973,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "cluster", help="fleet replay: dispatcher + autoscaler over a trace"
     )
-    p.add_argument("--app", help="benchmark short name (default ASR)")
+    p.add_argument(
+        "--app", type=_app_name, default="ASR",
+        help="benchmark short name (default ASR)",
+    )
     p.add_argument("--setting", default="I", choices=("I", "II", "III"))
     p.add_argument(
         "--system",
@@ -1045,7 +1050,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--sample-rate",
-        type=float,
+        type=_fraction,
         default=1.0,
         help="with --trace: head-sampling keep probability for the "
         "Perfetto artifact (QoS violators always kept)",
@@ -1067,6 +1072,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--app",
         action="append",
+        type=_app_name,
         help="benchmark short name (repeatable); all six when omitted",
     )
     p.add_argument("--setting", default="I", choices=("I", "II", "III"))
@@ -1080,7 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--n-jobs",
-        type=int,
+        type=_n_jobs,
         default=1,
         help="DSE worker processes (-1 = all CPUs)",
     )
@@ -1098,7 +1104,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("full", "sched", "sim", "cluster", "obs", "dse"),
         help="'full' = DSE+scheduler+simulation+sched+sim+cluster+obs+dse, "
         "'sched' = runtime plan-cache benchmark only, "
-        "'sim' = event-heap engine vs legacy loop benchmark only, "
+        "'sim' = simulation-engine throughput benchmark only, "
         "'cluster' = fleet replay benchmark only, "
         "'obs' = tracing-overhead benchmark only, "
         "'dse' = guided-vs-exhaustive search benchmark only",
@@ -1126,22 +1132,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail when any app's warm plan-cached speedup is below X",
     )
     p.add_argument(
-        "--min-sim-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail when any app's event-engine speedup over the legacy "
-        "loop is below X",
-    )
-    p.add_argument(
-        "--min-obs-retention",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail when any app's traced event-engine speedup over the "
-        "traced legacy loop is below X",
-    )
-    p.add_argument(
         "--min-dse-speedup",
         type=float,
         default=None,
@@ -1163,7 +1153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "obs", help="traced simulation with Perfetto/metrics artifacts"
     )
-    p.add_argument("app")
+    p.add_argument("app", type=_app_name)
     p.add_argument("--setting", default="I", choices=("I", "II", "III"))
     p.add_argument(
         "--system",
@@ -1191,13 +1181,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--window-ms",
-        type=float,
+        type=_positive_float,
         default=1_000.0,
         help="rollup window for --report (simulated ms)",
     )
     p.add_argument(
         "--sample-rate",
-        type=float,
+        type=_fraction,
         default=1.0,
         help="head-sampling keep probability; < 1.0 adds a bounded "
         "trace.sampled.perfetto.json (QoS violators always kept)",
@@ -1207,7 +1197,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--sample-top-k",
-        type=int,
+        type=_nonneg_int,
         default=0,
         help="always keep the k highest-latency request spans",
     )

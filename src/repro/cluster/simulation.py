@@ -40,12 +40,7 @@ from ..apps.base import Application
 from ..obs.tracer import NULL_TRACER
 from ..optim.design_point import KernelDesignSpace
 from ..runtime.cluster import SystemConfig
-from ..runtime.engine import (
-    ARRIVAL_CHUNK,
-    EventHeap,
-    EventHeapEngine,
-    EventKind,
-)
+from ..runtime.engine import EventHeapEngine
 from ..runtime.loadgen import ArrivalSpec
 from ..runtime.metrics import percentile_latency
 from ..runtime.node import LeafNode, RequestRecord
@@ -491,12 +486,12 @@ class ClusterSimulation:
 
         ``arrivals_ms`` may be an :class:`ArrivalSpec`, realized here
         through the dedicated arrival child stream — the code path
-        shared with ``run_simulation``.  The drive loop runs on the
-        global event heap: autoscaler evaluations are SCALE events,
-        arrivals are chunked ARRIVAL events split at evaluation
-        boundaries, and each node serves its requests through a
-        persistent :class:`EventHeapEngine` session.  Seeded replays are
-        pinned by checked-in golden digests.
+        shared with ``run_simulation``.  The drive loop is a sorted
+        merge of the arrivals with the evaluation grid: for each bound
+        it routes the arrivals strictly below it, then evaluates the
+        autoscaler at the bound, and each node serves its requests
+        through a persistent :class:`EventHeapEngine` session.  Seeded
+        replays are pinned by checked-in golden digests.
         """
         if isinstance(arrivals_ms, ArrivalSpec):
             arrivals_ms = arrivals_ms.generate(self.arrival_rng())
@@ -525,7 +520,6 @@ class ClusterSimulation:
         lag_recorded = False
 
         next_eval = eval_ms
-        window_arrivals = 0
 
         def evaluate(now_ms: float, n_arrivals: int) -> None:
             nonlocal pressure_since, relief_since, lag_recorded
@@ -610,56 +604,37 @@ class ClusterSimulation:
                 )
             )
 
-        # Event-heap drive: SCALE events carry the evaluation grid
-        # (accumulated by repeated addition, so interval timestamps are
-        # reproducible float-for-float); arrivals go in as chunked
-        # ARRIVAL events split at evaluation boundaries.  Same-time ties
-        # pop SCALE before ARRIVAL: an evaluation at ``t`` closes the
-        # window before the arrivals of that instant are routed.
-        heap = EventHeap()
-        bounds: List[float] = []
-        while next_eval <= horizon:
-            bounds.append(next_eval)
-            next_eval += eval_ms
-        for bound in bounds:
-            heap.push(bound, EventKind.SCALE, None)
+        # Sorted merge of the arrivals with the evaluation grid (the
+        # grid accumulates by repeated addition, so interval timestamps
+        # are reproducible float-for-float).  An arrival exactly on a
+        # bound is routed after that evaluation: the evaluation at ``t``
+        # closes the window ``[t - eval_ms, t)``.
         arr = np.asarray(ordered, dtype=float)
-        i = 0
-        for bound in bounds:
-            j = int(np.searchsorted(arr, bound, side="left"))
-            while i < j:
-                k = min(i + ARRIVAL_CHUNK, j)
-                heap.push(ordered[i], EventKind.ARRIVAL, ordered[i:k])
-                i = k
         #: One engine session per node, living across its whole service
         #: life (fault-injected nodes auto-delegate to ``submit``).
         sessions: Dict[str, EventHeapEngine] = {}
-        req_seq = 0
-        while heap:
-            ev = heap.pop()
-            if ev.kind is EventKind.SCALE:
-                evaluate(ev.t_ms, window_arrivals)
-                window_arrivals = 0
-                continue
-            for t in ev.payload:
+        i = 0
+        while next_eval <= horizon:
+            j = int(np.searchsorted(arr, next_eval, side="left"))
+            for t in ordered[i:j]:
                 self._promote(t)
                 serving = [
                     n for n in self._nodes if n.state is NodeState.SERVING
                 ]
-                req_seq += 1
                 node = self.dispatcher.route(
-                    t, self._signature, serving, req=req_seq
+                    t, self._signature, serving, req=len(records) + 1
                 )
                 session = sessions.get(node.node_id)
                 if session is None:
                     session = EventHeapEngine(node.leaf)
                     sessions[node.node_id] = session
-                record = session.process(t)
+                records.append(session.process(t))
                 node.planned_signatures.add(self._signature)
                 node.served += 1
-                records.append(record)
                 node_ids.append(node.node_id)
-                window_arrivals += 1
+            evaluate(next_eval, j - i)
+            i = j
+            next_eval += eval_ms
         for session in sessions.values():
             session.finalize()
 

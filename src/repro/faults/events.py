@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +63,19 @@ class FaultSchedule:
         self.events: Tuple[FaultEvent, ...] = tuple(
             sorted(events, key=lambda e: (e.time_ms, e.device_id, e.kind.value))
         )
+        # Per-device views, built once: the injector queries them on
+        # every reserved execution, and ``events`` never changes.
+        self._by_device: Dict[str, List[FaultEvent]] = {}
+        transients: Dict[str, List[Tuple[int, FaultEvent]]] = {}
+        for i, e in enumerate(self.events):
+            self._by_device.setdefault(e.device_id, []).append(e)
+            if e.kind == FaultKind.TRANSIENT:
+                transients.setdefault(e.device_id, []).append((i, e))
+        self._transients = {d: tuple(ts) for d, ts in transients.items()}
+        self._down = {
+            device_id: self._outages(device_events)
+            for device_id, device_events in self._by_device.items()
+        }
 
     # -- construction ---------------------------------------------------------
 
@@ -135,10 +148,10 @@ class FaultSchedule:
     # -- queries --------------------------------------------------------------
 
     def for_device(self, device_id: str) -> List[FaultEvent]:
-        return [e for e in self.events if e.device_id == device_id]
+        return list(self._by_device.get(device_id, ()))
 
     def device_ids(self) -> List[str]:
-        return sorted({e.device_id for e in self.events})
+        return sorted(self._by_device)
 
     def crashes(self) -> List[FaultEvent]:
         return [e for e in self.events if e.kind == FaultKind.DEVICE_CRASH]
@@ -147,9 +160,13 @@ class FaultSchedule:
         """Fail-stop outage windows ``(crash_ms, recovery_ms)`` for one
         device; an unrecovered crash extends to ``+inf``.  Nested or
         repeated crashes inside an open outage are collapsed."""
+        return list(self._down.get(device_id, ()))
+
+    @staticmethod
+    def _outages(events: Sequence[FaultEvent]) -> List[Tuple[float, float]]:
         out: List[Tuple[float, float]] = []
         open_at: Optional[float] = None
-        for e in self.for_device(device_id):
+        for e in events:
             if e.kind == FaultKind.DEVICE_CRASH and open_at is None:
                 open_at = e.time_ms
             elif e.kind == FaultKind.RECOVERY and open_at is not None:
@@ -170,19 +187,17 @@ class FaultSchedule:
         """The moment an execution spanning ``(start, end]`` on this
         device is lost to an outage, or ``None``.  An execution already
         inside an outage window is lost immediately (at its start)."""
-        for lo, hi in self.down_intervals(device_id):
+        for lo, hi in self._down.get(device_id, ()):
             if lo <= end_ms and hi > start_ms:
                 return max(lo, start_ms)
         return None
 
-    def transients_for(self, device_id: str) -> List[Tuple[int, FaultEvent]]:
+    def transients_for(
+        self, device_id: str
+    ) -> Tuple[Tuple[int, FaultEvent], ...]:
         """Transient events on one device with their schedule indices
         (the injector tracks consumption by index)."""
-        return [
-            (i, e)
-            for i, e in enumerate(self.events)
-            if e.device_id == device_id and e.kind == FaultKind.TRANSIENT
-        ]
+        return self._transients.get(device_id, ())
 
     def __len__(self) -> int:
         return len(self.events)

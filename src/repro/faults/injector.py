@@ -88,6 +88,7 @@ class FaultInjector:
         self._cursor = 0
         self._consumed: Set[int] = set()
         self._node = None
+        self._by_id: Dict[str, object] = {}
         self.planner: Optional[FailoverPlanner] = None
 
     # -- wiring ---------------------------------------------------------------
@@ -104,6 +105,7 @@ class FaultInjector:
                 f"node has {sorted(known)}"
             )
         self._node = node
+        self._by_id = {d.device_id: d for d in node.devices}
         if not self.tracer.enabled and node.tracer.enabled:
             # A traced node traces its faults too, even when the
             # injector was constructed before the tracer existed.
@@ -120,12 +122,11 @@ class FaultInjector:
         """Apply all events due at ``now_ms``; heartbeat; detect."""
         if self._node is None:
             raise RuntimeError("injector is not bound to a node")
-        by_id = {d.device_id: d for d in self._node.devices}
         events = self.schedule.events
         while self._cursor < len(events) and events[self._cursor].time_ms <= now_ms:
             event = events[self._cursor]
             self._cursor += 1
-            self._apply(event, by_id[event.device_id], now_ms)
+            self._apply(event, self._by_id[event.device_id], now_ms)
         self.planner.heartbeat(now_ms)
         self.planner.poll(now_ms)
 

@@ -200,11 +200,13 @@ class SpanTracer(NullTracer):
     iteration by exporters).  Recording therefore costs one tuple per
     event on the simulation's hot path while reads see the exact same
     objects an eager tracer would build — ``seq`` is the record's
-    position in the combined stream either way.  The event-heap engine
+    position in the combined stream either way.  The simulation engine
     leans on the same staging: its native traced fast path flushes
-    whole buffers of raw records (tags 1-3 below) straight into the
-    tracer, producing a stream byte-identical to the legacy per-request
-    loop — golden-tested in ``tests/test_engine.py``.
+    whole buffers of raw records (tags 1-3 below) straight onto the
+    staging list (``_raw``), bypassing ``emit``, and so produces a
+    stream byte-identical to the per-request ``LeafNode.submit`` path —
+    pinned by ``tests/test_golden_digests.py``.  Any tracer the engine
+    runs natively must therefore stage records this way.
 
     Raw-record tags (first tuple element):
 
@@ -215,7 +217,7 @@ class SpanTracer(NullTracer):
       point, start_ms, end_ms)``.
     * ``3`` — request complete: ``(3, completion_ms, req, latency_ms)``.
 
-    Tags 1-3 carry raw floats; rounding to the legacy emission's six
+    Tags 1-3 carry raw floats; rounding to ``LeafNode.submit``'s six
     decimals happens at materialization, off the timed path.
     """
 

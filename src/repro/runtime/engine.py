@@ -1,16 +1,18 @@
-"""Global event-heap simulation engine.
+"""The simulation engine: compiled dispatch programs over sorted streams.
 
 The simulator's original inner loop dispatched every request through
 ``LeafNode.submit`` — a per-request tower of method calls, dict plumbing
 and dataclass construction.  This module replaces that loop with a
-single global event heap and an incremental-EST fast path:
+chunked replay through an incremental-EST fast path:
 
-* **One event stream.** All simulation time advances through an
-  :class:`EventHeap` of typed :class:`EventKind` events — arrivals
-  (batched into chunks) and autoscaler scale evaluations (cluster
-  driver).  Same-time events pop in taxonomy order, FIFO within a kind,
-  so interleavings are deterministic by construction; the drive loop
-  asserts that pops never go back in time.
+* **One drive path.** A run has only sorted timed inputs — the arrival
+  stream and, in the cluster driver, the autoscaler's evaluation grid —
+  so driving it is a plain sorted merge, not a priority queue.
+  :meth:`EventHeapEngine.run` feeds the stream to the dispatch program
+  in ``ARRIVAL_CHUNK`` slices; the cluster driver routes the arrivals
+  below each evaluation bound through :meth:`EventHeapEngine.process`
+  and then evaluates.  Time never goes backwards: a chunk or ``process``
+  call whose first timestamp precedes the last admitted one raises.
 
 * **Incremental EST tables.** Per plan, the engine compiles each
   kernel's dispatch entries once — batch-1..``MAX_GPU_BATCH`` latency/
@@ -31,43 +33,38 @@ single global event heap and an incremental-EST fast path:
   draws bit-for-bit), and folds the monitor's EWMA correction inline
   with identical arithmetic.  Runs the program cannot replay exactly —
   fault injection (extra RNG consumers, heartbeats) — are *delegated*:
-  the heap still orders the arrivals, but each one executes through
-  ``LeafNode.submit`` itself, which is trivially identical.
+  each arrival executes, in order, through ``LeafNode.submit`` itself,
+  which is trivially identical.
 
-* **Native tracing.** An enabled tracer no longer delegates: the
-  engine swaps a :class:`_BufferTracer` onto the node (and its
-  scheduler) for the run's lifetime, the compiled dispatch program
-  appends compact per-request tuples (admit / kernel dispatch /
-  complete) next to the buffered control-plane emissions (replans,
-  scheduler placements, monitor snapshots), and every chunk flushes
-  the buffer to the real tracer in legacy emission order — so traced
-  seeded runs produce byte-identical span streams to the legacy loop
-  while keeping most of the engine speedup (gated by ``repro bench
-  --suite obs``).
+* **Native tracing.** An enabled tracer does not delegate: the engine
+  swaps a :class:`_BufferTracer` onto the node (and its scheduler) for
+  the run's lifetime, the compiled dispatch program appends compact
+  per-request tuples (admit / kernel dispatch / complete) next to the
+  buffered control-plane emissions (replans, scheduler placements,
+  monitor snapshots), and every chunk flushes the buffer to the real
+  tracer in ``LeafNode.submit``'s emission order — so traced seeded
+  runs produce byte-identical span streams to the per-request path.
 
-Checked-in golden digests (``tests/test_golden_digests.py``) hold both
-``run_simulation`` engines to the same floats on seeded fault-free,
-plan-cached, chaos and traced runs; ``repro bench --suite sim`` gates
-the speedup.
+Checked-in golden digests (``tests/test_golden_digests.py``) hold the
+engine and the per-request path (an empty fault schedule delegates
+every arrival to ``LeafNode.submit``) to the same floats on seeded
+fault-free, plan-cached, chaos and traced runs.
 """
 
 from __future__ import annotations
 
-import heapq
-from enum import IntEnum
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..hardware.specs import DeviceType
-from ..obs.tracer import SpanTracer
 from .node import MAX_GPU_BATCH, NOISE_SIGMA, LeafNode, RequestRecord
 
-__all__ = ["EventKind", "Event", "EventHeap", "EventHeapEngine"]
+__all__ = ["EventHeapEngine"]
 
-#: Arrivals are pushed in chunks of this size: one heap transaction
-#: amortizes over many requests while staying interruptible by
-#: earlier-timestamped events (the cluster driver's scale evaluations).
+#: Arrivals are admitted in slices of this size: each slice is one call
+#: into the dispatch program per replan segment, amortizing the
+#: per-call state sync over many requests.
 ARRIVAL_CHUNK = 1024
 
 #: Process-wide cache of compiled dispatch-program code objects, keyed
@@ -75,62 +72,6 @@ ARRIVAL_CHUNK = 1024
 #: generate identical source; the population is one entry per distinct
 #: plan shape, so the cache stays small).
 _CODE_CACHE: Dict[str, object] = {}
-
-
-class EventKind(IntEnum):
-    """Typed simulation events.  The integer value doubles as the
-    tie-break priority at equal timestamps: scale evaluations run
-    before the arrivals of the same instant (an evaluation at ``t``
-    covers the window ending at ``t``), completions free devices before
-    same-time arrivals see them, dispatches trail their arrival."""
-
-    SCALE = 0
-    FAULT = 1
-    HEARTBEAT = 2
-    KERNEL_COMPLETE = 3
-    ARRIVAL = 4
-    DISPATCH = 5
-
-
-class Event(NamedTuple):
-    t_ms: float
-    kind: EventKind
-    payload: object
-
-
-class EventHeap:
-    """Stable min-heap of timed events.
-
-    Ordered by ``(t_ms, kind, seq)``: time first, taxonomy priority at
-    ties, insertion order within a kind.  Popping is therefore globally
-    deterministic for any push order of the same event set.
-    """
-
-    __slots__ = ("_heap", "_seq")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, int, object]] = []
-        self._seq = 0
-
-    def push(self, t_ms: float, kind: EventKind, payload: object = None) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (t_ms, int(kind), self._seq, payload))
-
-    def pop(self) -> Event:
-        t_ms, kind, _, payload = heapq.heappop(self._heap)
-        return Event(t_ms, EventKind(kind), payload)
-
-    def peek(self) -> Optional[Event]:
-        if not self._heap:
-            return None
-        t_ms, kind, _, payload = self._heap[0]
-        return Event(t_ms, EventKind(kind), payload)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 # Compiled dispatch-entry field layout (tuples, not dataclasses: the
@@ -154,9 +95,10 @@ class _BufferTracer:
     snapshots — land in the engine's trace buffer as passthrough
     records, interleaved with the compact per-request tuples the
     dispatch program appends, so :meth:`EventHeapEngine._flush_trace`
-    can replay the whole stream to the real tracer in legacy emission
-    order.  Timestamps resolve at emit time (``now_ms`` is mutable and
-    advanced by ``maybe_replan`` exactly as on a real tracer)."""
+    can replay the whole stream to the real tracer in
+    ``LeafNode.submit``'s emission order.  Timestamps resolve at emit
+    time (``now_ms`` is mutable and advanced by ``maybe_replan`` exactly
+    as on a real tracer)."""
 
     __slots__ = ("_append", "now_ms")
 
@@ -181,7 +123,7 @@ class _BufferTracer:
 
 def _make_fill(node, platform, name, point, lats, pows):
     """Lazy GPU-ladder cell fill: evaluates the hardware model for one
-    batch size on first use (exactly the sizes the legacy loop's
+    batch size on first use (exactly the sizes the per-request path's
     ``_latency_fn`` cache would see) and memoizes it in the ladder."""
 
     def fill(size: int) -> float:
@@ -194,7 +136,7 @@ def _make_fill(node, platform, name, point, lats, pows):
 
 
 class EventHeapEngine:
-    """Event-heap replay of one :class:`LeafNode`'s request stream.
+    """Compiled replay of one :class:`LeafNode`'s request stream.
 
     ``run`` drives a whole sorted stream; ``process`` admits a single
     arrival (the cluster driver's per-route entry point).  Call
@@ -203,19 +145,18 @@ class EventHeapEngine:
 
     Runs the fast path cannot replicate exactly — an attached fault
     injector (extra RNG consumers, heartbeats) — are delegated to
-    ``node.submit`` per arrival (``delegated`` is True); everything the
-    engine promises about bit-identity then holds trivially.  An
-    enabled tracer runs *natively*: emissions buffer as compact tuples
-    and flush per chunk in legacy order, byte-identical to the
-    delegated stream (golden-tested) at a fraction of its cost.
+    ``node.submit`` per arrival, in order (``delegated`` is True);
+    everything the engine promises about bit-identity then holds
+    trivially.  An enabled tracer runs *natively*: emissions buffer as
+    compact tuples and flush per chunk in ``LeafNode.submit``'s order,
+    byte-identical to the delegated stream (golden-tested) at a
+    fraction of its cost.
     """
 
     def __init__(self, node: LeafNode) -> None:
         self._node = node
         self.delegated = node._injector is not None
         self._traced = node.tracer.enabled and not self.delegated
-        self.heap = EventHeap()
-        self._last_pop_ms = -float("inf")
 
         mon = node.monitor
         self._corr = mon._correction
@@ -235,7 +176,7 @@ class EventHeapEngine:
         self._max_comp = 0.0
 
         #: Integer tie-break ranks, ordered by device_id — isomorphic to
-        #: the legacy string comparisons (ids are unique).
+        #: the per-request path's string comparisons (ids are unique).
         self._ranks = {
             d.device_id: i
             for i, d in enumerate(
@@ -258,12 +199,13 @@ class EventHeapEngine:
         self._sinks = tuple(self._kindex[s] for s in node._sinks)
         self._finalized = False
 
+        #: Timestamp of the last admitted arrival (the ordering guard).
+        self._last_t: Optional[float] = None
         #: Native-tracing state: the trace buffer, the real tracer, and
         #: the request-sequence cursor adopted from the node.  The
         #: buffer tracer stays swapped in until :meth:`finalize`.
         self._tb: list = []
         self._rq = node._req_seq
-        self._last_t: Optional[float] = None
         self._sched_swapped = False
         if self._traced:
             self._tracer = node.tracer
@@ -284,45 +226,24 @@ class EventHeapEngine:
     ) -> List[RequestRecord]:
         """Replay a sorted arrival stream and return its request records.
 
-        Fast-path runs push the stream as chunked ARRIVAL events,
-        checked for monotone pop order.  Delegated runs push one
-        ARRIVAL per request and submit each through the node.
+        Fast-path runs admit the stream in ``ARRIVAL_CHUNK`` slices;
+        delegated runs submit each arrival through the node, in order.
         """
-        heap = self.heap
         if self.delegated:
-            node = self._node
+            submit = self._node.submit
             if priorities is None:
-                for t in ordered:
-                    heap.push(t, EventKind.ARRIVAL, 1.0)
+                records = [submit(t) for t in ordered]
             else:
-                for t, p in zip(ordered, priorities):
-                    heap.push(t, EventKind.ARRIVAL, p)
-            records = []
-            while heap:
-                ev = heap.pop()
-                records.append(node.submit(ev.t_ms, priority=ev.payload))
+                records = [
+                    submit(t, priority=p) for t, p in zip(ordered, priorities)
+                ]
             self.finalize()
             return records
-
-        n = len(ordered)
-        for i in range(0, n, ARRIVAL_CHUNK):
-            chunk = ordered[i : i + ARRIVAL_CHUNK]
+        for i in range(0, len(ordered), ARRIVAL_CHUNK):
             prios = (
-                None
-                if priorities is None
-                else priorities[i : i + ARRIVAL_CHUNK]
+                None if priorities is None else priorities[i : i + ARRIVAL_CHUNK]
             )
-            heap.push(ordered[i], EventKind.ARRIVAL, (chunk, prios))
-        while heap:
-            ev = heap.pop()
-            if ev.t_ms < self._last_pop_ms:
-                raise AssertionError(
-                    f"event heap popped backwards: {ev.t_ms} after "
-                    f"{self._last_pop_ms}"
-                )
-            self._last_pop_ms = ev.t_ms
-            chunk, prios = ev.payload
-            self._process_chunk(chunk, prios)
+            self._process_chunk(ordered[i : i + ARRIVAL_CHUNK], prios)
         self.finalize()
         return self.records()
 
@@ -351,9 +272,9 @@ class EventHeapEngine:
         sliding windows (deque ``maxlen`` truncates identically to
         per-request appends), the EWMA correction, and the noise-buffer
         cursor — after this the node is indistinguishable from one that
-        ran the legacy loop.  Traced runs additionally flush the trace
-        buffer, restore the real tracer onto the node/scheduler, and
-        write the request-sequence cursor back."""
+        ran the per-request path.  Traced runs additionally flush the
+        trace buffer, restore the real tracer onto the node/scheduler,
+        and write the request-sequence cursor back."""
         if self._finalized or self.delegated:
             self._finalized = True
             return
@@ -378,62 +299,20 @@ class EventHeapEngine:
     def _flush_trace(self) -> None:
         """Replay the trace buffer to the real tracer.
 
-        The buffered tuples use :class:`SpanTracer`'s raw-record format
-        (tags 1-3 for the per-request lifecycle, tag 0 for control-plane
-        emissions already resolved by the buffer tracer), so a plain
-        :class:`SpanTracer` takes a single ``extend`` onto its staging
-        list — the events materialize lazily at read time into exactly
-        what ``LeafNode.submit`` would have emitted: same names, rounded
-        fields and emission order.  Tracer subclasses fall back to
-        ``emit``.
+        The buffered tuples use :class:`~repro.obs.tracer.SpanTracer`'s
+        raw-record format (tags 1-3 for the per-request lifecycle, tag 0
+        for control-plane emissions already resolved by the buffer
+        tracer), so the flush is a single ``extend`` onto the tracer's
+        staging list — the events materialize lazily at read time into
+        exactly what ``LeafNode.submit`` would have emitted: same names,
+        rounded fields and emission order.
         """
         tr = self._tracer
         if self._last_t is not None:
             tr.now_ms = self._last_t
-        tb = self._tb
-        if not tb:
-            return
-        if type(tr) is SpanTracer:
-            tr._raw.extend(tb)
-        else:
-            for rec in tb:
-                tag = rec[0]
-                if tag == 2:
-                    _, ready, rq, kn, dev, pt, start, end = rec
-                    tr.emit(
-                        "kernel.dispatch",
-                        name=kn,
-                        t_ms=ready,
-                        req=rq,
-                        kernel=kn,
-                        device=dev,
-                        point=pt,
-                        start_ms=round(start, 6),
-                        end_ms=round(end, 6),
-                    )
-                elif tag == 1:
-                    _, t, rq, p = rec
-                    tr.emit(
-                        "request.admit",
-                        name=f"req-{rq}",
-                        t_ms=t,
-                        req=rq,
-                        priority=round(p, 6),
-                    )
-                elif tag == 3:
-                    _, comp, rq, lat = rec
-                    tr.emit(
-                        "request.complete",
-                        name=f"req-{rq}",
-                        t_ms=comp,
-                        req=rq,
-                        latency_ms=round(lat, 6),
-                        retries=0,
-                    )
-                else:
-                    _, kind, name, ts, dur, args = rec
-                    tr.emit(kind, name=name, t_ms=ts, dur_ms=dur, **args)
-        tb.clear()
+        if self._tb:
+            tr._raw.extend(self._tb)
+            self._tb.clear()
 
     # -- plan compilation ------------------------------------------------------
 
@@ -480,8 +359,8 @@ class EventHeapEngine:
                     if is_gpu:
                         # Lazy ladder: only batch-1 up front, higher
                         # sizes filled on first join — the same model
-                        # evaluations, in the same order, as the legacy
-                        # loop's per-size ``_latency_fn`` cache.
+                        # evaluations, in the same order, as the
+                        # per-request path's ``_latency_fn`` cache.
                         lats = [0.0] * (MAX_GPU_BATCH + 1)
                         pows = [0.0] * (MAX_GPU_BATCH + 1)
                         lats[1], pows[1] = lat1, power1
@@ -897,66 +776,12 @@ class EventHeapEngine:
 
     # -- the fast path ---------------------------------------------------------
 
-    def _process_chunk(
-        self,
-        chunk: Sequence[float],
-        prios: Optional[Sequence[float]] = None,
-    ) -> None:
-        """Admit a chunk of arrivals through the compiled dispatch
-        program.
-
-        Per kernel the program is float-expression-identical to
-        ``LeafNode._execute_kernel``, with the monitor's bookkeeping
-        inlined (EWMA correction folded sequentially; queue depth nets
-        to zero per request; the sliding windows are rebuilt at
-        finalize).  ``prios`` only matters for
-        traced runs (admit events carry the priority); the simulated
-        floats never depend on it outside delegated chaos runs.
-        """
-        if self._traced:
-            self._process_chunk_traced(chunk, prios)
-            return
-        node = self._node
-        interval = node.replan_interval_ms
-        self._arr.extend(chunk)
-        self._req_arr.extend(chunk)
-        i = 0
-        n = len(chunk)
-        while i < n:
-            t = chunk[i]
-            if not self._plan_ok or t - self._last_replan >= interval:
-                self._sync_plan(t)
-                if not self._plan_ok:
-                    raise RuntimeError("node has no plan (fast path)")
-            (
-                i,
-                self._corr,
-                self._npos,
-                self._nbuf,
-                self._max_comp,
-            ) = self._fn(
-                chunk,
-                i,
-                self._last_replan + interval,
-                self._win,
-                self._makespan,
-                self._corr,
-                self._npos,
-                self._nbuf,
-                self._max_comp,
-            )
-        w = self._window
-        if len(self._lats) > 4 * w:
-            del self._lats[: len(self._lats) - w]
-        if len(self._arr) > 4 * w:
-            del self._arr[: len(self._arr) - w]
-
     def _flush_monitor(self) -> None:
         """Sync the inlined monitor state onto the node before a traced
         replan: ``monitor.snapshot`` inside ``maybe_replan`` must see
-        exactly the arrivals/latencies/correction a legacy run would —
-        every prior request completed, the triggering one not yet
-        recorded.  ``clear()`` (never rebinding) keeps the compiled
+        exactly the arrivals/latencies/correction the per-request path
+        would — every prior request completed, the triggering one not
+        yet recorded.  ``clear()`` (never rebinding) keeps the compiled
         program's bound ``append`` methods valid."""
         mon = self._node.monitor
         mon._arrival_times.extend(self._arr)
@@ -965,72 +790,109 @@ class EventHeapEngine:
         self._arr.clear()
         self._lats.clear()
 
-    def _process_chunk_traced(
+    def _process_chunk(
         self,
         chunk: Sequence[float],
         prios: Optional[Sequence[float]] = None,
     ) -> None:
-        """Traced twin of the fast chunk loop.
+        """Admit a sorted chunk of arrivals through the compiled
+        dispatch program, one call per replan segment.
 
-        Differences from the untraced body, each forced by legacy
-        emission order: the admit of a replan-triggering request is
-        emitted *before* the replan's own buffered emissions (``sk=1``
-        tells the compiled runner to skip it); the monitor buffers
-        flush onto the node right before ``_sync_plan`` so the replan
-        snapshot matches; and ``_arr`` extends per processed segment —
-        never up front — so a snapshot cannot see in-flight or future
-        arrivals.  The trace buffer flushes at chunk end, keeping
-        cluster-layer emissions (``cluster.route`` lands directly on
-        the real tracer between ``process`` calls) correctly
+        Per kernel the program is float-expression-identical to
+        ``LeafNode._execute_kernel``, with the monitor's bookkeeping
+        inlined (EWMA correction folded sequentially; queue depth nets
+        to zero per request; the sliding windows are rebuilt at
+        finalize).  ``prios`` only matters for traced runs (admit events
+        carry the priority); the simulated floats never depend on it
+        outside delegated chaos runs.
+
+        Traced runs differ per segment, each step forced by
+        ``LeafNode.submit``'s emission order: the admit of a
+        replan-triggering request is emitted *before* the replan's own
+        buffered emissions (``sk=1`` tells the program to skip it); the
+        monitor buffers flush onto the node right before ``_sync_plan``
+        so the replan snapshot matches; and ``_arr`` extends per
+        processed segment — never up front — so a snapshot cannot see
+        in-flight or future arrivals.  The trace buffer flushes at chunk
+        end, keeping cluster-layer emissions (``cluster.route`` lands
+        directly on the real tracer between ``process`` calls) correctly
         interleaved.
         """
-        node = self._node
-        interval = node.replan_interval_ms
-        self._req_arr.extend(chunk)
-        tb_append = self._tb.append
-        i = 0
         n = len(chunk)
+        if not n:
+            return
+        if self._last_t is not None and chunk[0] < self._last_t:
+            raise ValueError(
+                f"arrival at {chunk[0]} ms precedes the last admitted "
+                f"arrival at {self._last_t} ms; streams must be sorted"
+            )
+        traced = self._traced
+        interval = self._node.replan_interval_ms
+        self._req_arr.extend(chunk)
+        if not traced:
+            self._arr.extend(chunk)
+        i = 0
         while i < n:
             t = chunk[i]
             sk = 0
             if not self._plan_ok or t - self._last_replan >= interval:
-                self._rq += 1
-                tb_append(
-                    (1, t, self._rq, 1.0 if prios is None else prios[i])
-                )
-                sk = 1
-                self._flush_monitor()
+                if traced:
+                    self._rq += 1
+                    self._tb.append(
+                        (1, t, self._rq, 1.0 if prios is None else prios[i])
+                    )
+                    sk = 1
+                    self._flush_monitor()
                 self._sync_plan(t)
                 if not self._plan_ok:
                     raise RuntimeError("node has no plan (fast path)")
-            prev = i
-            (
-                i,
-                self._corr,
-                self._npos,
-                self._nbuf,
-                self._max_comp,
-                self._rq,
-            ) = self._fn(
-                chunk,
-                i,
-                self._last_replan + interval,
-                self._win,
-                self._makespan,
-                self._corr,
-                self._npos,
-                self._nbuf,
-                self._max_comp,
-                self._rq,
-                sk,
-                prios,
-            )
-            self._arr.extend(chunk[prev:i])
+            if traced:
+                prev = i
+                (
+                    i,
+                    self._corr,
+                    self._npos,
+                    self._nbuf,
+                    self._max_comp,
+                    self._rq,
+                ) = self._fn(
+                    chunk,
+                    i,
+                    self._last_replan + interval,
+                    self._win,
+                    self._makespan,
+                    self._corr,
+                    self._npos,
+                    self._nbuf,
+                    self._max_comp,
+                    self._rq,
+                    sk,
+                    prios,
+                )
+                self._arr.extend(chunk[prev:i])
+            else:
+                (
+                    i,
+                    self._corr,
+                    self._npos,
+                    self._nbuf,
+                    self._max_comp,
+                ) = self._fn(
+                    chunk,
+                    i,
+                    self._last_replan + interval,
+                    self._win,
+                    self._makespan,
+                    self._corr,
+                    self._npos,
+                    self._nbuf,
+                    self._max_comp,
+                )
         w = self._window
         if len(self._lats) > 4 * w:
             del self._lats[: len(self._lats) - w]
         if len(self._arr) > 4 * w:
             del self._arr[: len(self._arr) - w]
-        if n:
-            self._last_t = chunk[n - 1]
-        self._flush_trace()
+        self._last_t = chunk[n - 1]
+        if traced:
+            self._flush_trace()

@@ -100,7 +100,7 @@ class AcceleratorInstance:
         self.dvfs = DVFSPolicy(spec)
         self.horizon_ms = 0.0
         self._records: List[ExecutionRecord] = []
-        #: Columnar execution rows appended by the event-heap engine
+        #: Columnar execution rows appended by the simulation engine
         #: (``[kernel, point, start, end, power, batch]`` per realized
         #: execution), materialized into :class:`ExecutionRecord`s only
         #: when :attr:`records` is read — the engine's hot path never
@@ -127,7 +127,7 @@ class AcceleratorInstance:
         """Realized executions, materializing any engine rows first.
 
         The returned list is the live backing store (callers append to
-        it on the legacy dispatch path).  Materialization keeps row
+        it on the per-request dispatch path).  Materialization keeps row
         order, so record-major consumers (the power timeline) see the
         same dispatch-ordered sequence either way.  Reading this while
         the event engine still holds an open GPU batch on a pending row

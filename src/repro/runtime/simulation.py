@@ -130,7 +130,6 @@ def run_simulation(
     tracer=None,
     metrics=None,
     plan_cache=None,
-    engine: str = "event",
 ) -> SimulationResult:
     """Replay ``arrivals_ms`` (sorted timestamps) on a fresh leaf node.
 
@@ -161,18 +160,14 @@ def run_simulation(
     realized here through its own seed.  An empty stream yields a
     zero-request result over one idle power bin.
 
-    ``engine`` selects the simulation core: ``"event"`` (default)
-    drives the run through the global event-heap engine
-    (:class:`repro.runtime.engine.EventHeapEngine`, ≥10x request
-    throughput at high load); ``"legacy"`` runs the per-request
-    reference path, ``LeafNode.submit`` per arrival.  Seeded runs are
-    float-identical across the two (golden-tested); traced runs emit
-    byte-identical event streams natively from the engine's loop (chaos
-    runs delegate each arrival to the node, so the equivalence is
-    structural there).
+    The run goes through :class:`repro.runtime.engine.EventHeapEngine`:
+    fault-free runs (traced or not) replay the stream through the
+    compiled dispatch program; fault-injected runs hand each arrival,
+    in order, to ``LeafNode.submit``, the per-request reference path.
+    Seeded runs are float-identical across the two (golden-tested: an
+    empty ``FaultSchedule`` takes the per-request path without changing
+    a float or a trace event).
     """
-    if engine not in ("event", "legacy"):
-        raise ValueError(f"unknown engine {engine!r}")
     if isinstance(arrivals_ms, ArrivalSpec):
         arrivals_ms = arrivals_ms.generate()
     if tracer is None and isinstance(faults, FaultInjector):
@@ -202,14 +197,7 @@ def run_simulation(
     ordered = sorted(arrivals_ms)
     if priorities is not None and len(priorities) != len(ordered):
         raise ValueError("priorities must match the arrival stream length")
-    if engine == "event":
-        requests = EventHeapEngine(node).run(ordered, priorities=priorities)
-    elif priorities is None:
-        requests = [node.submit(t) for t in ordered]
-    else:
-        requests = [
-            node.submit(t, priority=p) for t, p in zip(ordered, priorities)
-        ]
+    requests = EventHeapEngine(node).run(ordered, priorities=priorities)
 
     # Latency statistics run to the last completion; power is accounted
     # over the *offered-load* window only — in overload the post-arrival

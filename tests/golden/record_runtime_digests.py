@@ -21,8 +21,9 @@ root), and say why in CHANGES.md::
 
     PYTHONPATH=src python tests/golden/record_runtime_digests.py
 
-``tests/test_golden_digests.py`` recomputes every digest on both
-``run_simulation`` engines and on the fleet driver and compares.
+``tests/test_golden_digests.py`` recomputes every single-node digest on
+both request paths (:data:`PATHS`) and every fleet digest, and
+compares.
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ DIGEST_PATH = Path(__file__).with_name("runtime_digests.json")
 APPS = ("ASR", "CS", "FQT", "IR", "MF", "WT")
 SINGLE_MODES = ("fault_free", "plan_cached", "chaos", "traced", "sampled")
 FLEET_MODES = ("fault_free", "chaos", "traced")
+#: Request paths a single-node case runs on: ``"legacy"`` is the
+#: per-request reference, ``LeafNode.submit`` per arrival (reached
+#: through an empty fault schedule, which delegates every arrival to
+#: the node and injects nothing); ``"event"`` is the engine's compiled
+#: dispatch program.  Chaos cases delegate on both.
+PATHS = ("legacy", "event")
 
 #: Single-node stream: Poisson at RATE_RPS for DURATION_MS, seeded.
 RATE_RPS = 80.0
@@ -99,8 +106,10 @@ def _chaos_schedule(device_ids, duration_ms: float, seed: int):
     )
 
 
-def single_node_digest(name: str, mode: str, engine: str) -> str:
-    """Digest of one seeded ``run_simulation`` case on ``engine``."""
+def single_node_digest(name: str, mode: str, path: str) -> str:
+    """Digest of one seeded ``run_simulation`` case on ``path``."""
+    if path not in PATHS:
+        raise ValueError(f"unknown path {path!r}")
     app, system, spaces = app_env(name)
     arrivals = runtime.poisson_arrivals(
         RATE_RPS, DURATION_MS, rng=np.random.default_rng(SEED)
@@ -117,12 +126,14 @@ def single_node_digest(name: str, mode: str, engine: str) -> str:
         tracer = kw["tracer"] = SpanTracer()
     elif mode != "fault_free":
         raise ValueError(f"unknown mode {mode!r}")
+    if path == "legacy" and mode != "chaos":
+        kw["faults"] = FaultSchedule()
     result = runtime.run_simulation(
-        system, app, spaces, arrivals, seed=SEED, engine=engine, **kw
+        system, app, spaces, arrivals, seed=SEED, **kw
     )
     lines = list(_request_lines(result.requests))
     lines += [repr(float(w)) for w in result.power_bins_w]
-    if result.faults is not None:
+    if mode == "chaos":
         lines += [
             f"{k} {v!r}" for k, v in sorted(result.faults.summary().items())
         ]
@@ -180,7 +191,7 @@ def fleet_digest(mode: str) -> str:
 
 def record() -> dict:
     """Every digest; single-node cases run on the per-request
-    ``legacy`` engine, the reference the event engine is held to."""
+    ``legacy`` path, the reference the engine is held to."""
     return {
         "numpy": np.__version__,
         "single_node": {

@@ -566,6 +566,35 @@ class TestClusterSimulation:
         with pytest.raises(RuntimeError, match="one run"):
             sim.run([10.0])
 
+    def test_arrival_on_a_bound_counts_in_the_next_window(self, fleet_env):
+        """The evaluation at ``t`` closes ``[t - eval_ms, t)``: an
+        arrival exactly on the bound is routed after that evaluation
+        and counted in the next interval."""
+        app, system, spaces = fleet_env
+        tracer = SpanTracer()
+        sim = ClusterSimulation(
+            system, app, spaces,
+            config=AutoscalerConfig(eval_interval_ms=1_000.0),
+            tracer=tracer,
+        )
+        result = sim.run([500.0, 1_000.0, 1_500.0], horizon_ms=3_000.0)
+        assert [(iv.t_ms, iv.arrivals) for iv in result.intervals] == [
+            (1_000.0, 1), (2_000.0, 2), (3_000.0, 0),
+        ]
+        order = [
+            (e.kind, e.ts_ms)
+            for e in tracer.events
+            if e.kind in ("cluster.route", "cluster.scale")
+        ]
+        assert order == [
+            ("cluster.route", 500.0),
+            ("cluster.scale", 1_000.0),
+            ("cluster.route", 1_000.0),
+            ("cluster.route", 1_500.0),
+            ("cluster.scale", 2_000.0),
+            ("cluster.scale", 3_000.0),
+        ]
+
     def test_empty_arrivals_rejected(self, fleet_env):
         app, system, spaces = fleet_env
         with pytest.raises(ValueError, match="empty"):

@@ -147,6 +147,7 @@ class TestCLIErrorContract:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"argument {arg}" in err.splitlines()[-1]
+        return err.splitlines()[-1]
 
     def test_simulate_nan_rate(self, capsys):
         self._usage_error(["simulate", "asr", "nan"], capsys, "rps")
@@ -161,6 +162,59 @@ class TestCLIErrorContract:
 
     def test_bench_zero_trials(self, capsys):
         self._usage_error(["bench", "--trials", "0"], capsys, "--trials")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dse", "nosuch"],
+            ["schedule", "nosuch"],
+            ["simulate", "nosuch", "10"],
+            ["codegen", "nosuch", "K"],
+            ["obs", "nosuch"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unknown_app_positional(self, argv, capsys):
+        line = self._usage_error(argv, capsys, "app")
+        assert "unknown app 'nosuch'; choose from" in line
+
+    @pytest.mark.parametrize(
+        "command", ["lint", "faults", "cluster", "bench"]
+    )
+    def test_unknown_app_option(self, command, capsys):
+        self._usage_error([command, "--app", "nosuch"], capsys, "--app")
+
+    @pytest.mark.parametrize(
+        "argv,arg",
+        [
+            (["dse", "asr", "--budget", "0"], "--budget"),
+            (["dse", "asr", "--n-jobs", "0"], "--n-jobs"),
+            (["dse", "asr", "--n-jobs", "-2"], "--n-jobs"),
+            (["bench", "--n-jobs", "0"], "--n-jobs"),
+            (["obs", "asr", "--window-ms", "0", "--report"], "--window-ms"),
+            (["obs", "asr", "--sample-top-k", "-1"], "--sample-top-k"),
+            (["obs", "asr", "--sample-rate", "-1"], "--sample-rate"),
+            (["obs", "asr", "--sample-rate", "2"], "--sample-rate"),
+            (["cluster", "--trace", "--sample-rate", "-1"], "--sample-rate"),
+            (["cluster", "--trace", "--sample-rate", "2"], "--sample-rate"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+    )
+    def test_out_of_range_numbers(self, argv, arg, capsys, tmp_path):
+        # An output directory in case a broken build runs the command.
+        out = ["--out-dir", str(tmp_path)] if argv[0] == "obs" else []
+        if argv[0] == "cluster":
+            out = ["--hours", "0.5", "--trace-out", str(tmp_path)]
+        self._usage_error(argv + out, capsys, arg)
+
+    def test_valid_edge_values_parse(self):
+        parser = build_parser()
+        assert parser.parse_args(["dse", "asr", "--n-jobs", "-1"]).n_jobs == -1
+        args = parser.parse_args(
+            ["obs", "wt", "--sample-rate", "0", "--sample-top-k", "0"]
+        )
+        assert (args.app, args.sample_rate, args.sample_top_k) == ("WT", 0.0, 0)
+        assert parser.parse_args(["cluster", "--sample-rate", "1"]).app == "ASR"
 
     def test_simulate_zero_rate_is_empty_result(self, capsys):
         assert main(["simulate", "asr", "0", "--ms", "500"]) == 0

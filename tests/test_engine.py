@@ -1,12 +1,15 @@
-"""Event-heap engine: A/B identity vs. the per-request loop, heap
-ordering and ArrivalSpec.
+"""Simulation engine: A/B identity vs. the per-request path, the
+ordering guard and ArrivalSpec.
 
-The contract: seeded runs through ``engine="event"`` are float-identical
-to ``engine="legacy"`` — same request latencies, same power bins, same
-obs event stream, fault-free and under chaos.  The checked-in digests of
-``tests/test_golden_digests.py`` pin both engines (and the fleet
-driver) to recorded values; the A/B tests here cover extra shapes
-(homogeneous systems, overload, bursty streams) and node state.
+The contract: a fault-free seeded run (the compiled dispatch program)
+is float-identical to the per-request path, ``LeafNode.submit`` per
+arrival — same request latencies, same power bins, same obs event
+stream.  The reference run attaches an empty ``FaultSchedule``: an
+injector makes the engine delegate every arrival to the node, and an
+empty schedule injects nothing.  The checked-in digests of
+``tests/test_golden_digests.py`` pin both paths (and the fleet driver)
+to recorded values; the A/B tests here cover extra shapes (homogeneous
+systems, overload, bursty streams) and node state.
 """
 
 import numpy as np
@@ -17,12 +20,12 @@ from repro import runtime
 from repro.faults import FaultSchedule
 from repro.runtime import (
     ArrivalSpec,
-    EventHeap,
-    EventKind,
+    EventHeapEngine,
     poisson_arrivals,
     run_simulation,
     setting,
 )
+from repro.runtime.node import LeafNode
 
 
 @pytest.fixture(scope="module")
@@ -72,53 +75,39 @@ def node_sig(result):
     )
 
 
-def ab(app, system, spaces, arrivals, **kw):
-    legacy = run_simulation(
-        system, app, spaces, arrivals, engine="legacy", **kw
+def reference(app, system, spaces, arrivals, **kw):
+    """The per-request path: an empty fault schedule delegates every
+    arrival to ``LeafNode.submit`` and injects nothing."""
+    return run_simulation(
+        system, app, spaces, arrivals, faults=FaultSchedule(), **kw
     )
-    event = run_simulation(system, app, spaces, arrivals, engine="event", **kw)
-    return legacy, event
 
 
-class TestEventHeap:
-    def test_pops_in_time_order(self):
-        heap = EventHeap()
-        for t in (5.0, 1.0, 3.0, 2.0, 4.0):
-            heap.push(t, EventKind.ARRIVAL)
-        assert [heap.pop().t_ms for _ in range(5)] == [1.0, 2.0, 3.0, 4.0, 5.0]
+def ab(app, system, spaces, arrivals, **kw):
+    ref = reference(app, system, spaces, arrivals, **kw)
+    event = run_simulation(system, app, spaces, arrivals, **kw)
+    return ref, event
 
-    def test_same_timestamp_kind_priority(self):
-        """At one timestamp: scaling decisions and faults precede
-        completions, which precede new arrivals and dispatches."""
-        heap = EventHeap()
-        kinds = [
-            EventKind.DISPATCH,
-            EventKind.ARRIVAL,
-            EventKind.KERNEL_COMPLETE,
-            EventKind.HEARTBEAT,
-            EventKind.FAULT,
-            EventKind.SCALE,
-        ]
-        for kind in kinds:
-            heap.push(10.0, kind)
-        assert [heap.pop().kind for _ in range(len(kinds))] == sorted(
-            kinds, key=int
-        )
 
-    def test_fifo_among_equal_events(self):
-        heap = EventHeap()
-        for payload in ("a", "b", "c"):
-            heap.push(1.0, EventKind.ARRIVAL, payload)
-        assert [heap.pop().payload for _ in range(3)] == ["a", "b", "c"]
+class TestOrderingGuard:
+    def test_process_before_last_admitted_raises(self, wt):
+        app, system, spaces = wt
+        engine = EventHeapEngine(LeafNode(system, app, spaces, seed=0))
+        engine.process(50.0)
+        engine.process(50.0)  # ties are in order
+        with pytest.raises(ValueError, match="precedes the last admitted"):
+            engine.process(49.0)
 
-    def test_peek_len_bool(self):
-        heap = EventHeap()
-        assert not heap and heap.peek() is None
-        heap.push(2.0, EventKind.FAULT, "x")
-        assert heap and len(heap) == 1
-        assert heap.peek().t_ms == 2.0
-        assert heap.pop().payload == "x"
-        assert len(heap) == 0
+    def test_chunk_boundaries_cannot_go_backwards(self, wt):
+        """A stream that is sorted within each slice but not across
+        slices is rejected at the slice boundary."""
+        from repro.runtime.engine import ARRIVAL_CHUNK
+
+        app, system, spaces = wt
+        engine = EventHeapEngine(LeafNode(system, app, spaces, seed=0))
+        stream = [float(i) for i in range(ARRIVAL_CHUNK)] + [0.5]
+        with pytest.raises(ValueError, match="precedes the last admitted"):
+            engine.run(stream)
 
 
 class TestArrivalSpec:
@@ -193,20 +182,20 @@ class TestGoldenFaultFree:
         arrivals = poisson_arrivals(
             120.0, 4_000.0, rng=np.random.default_rng(3)
         )
-        legacy, event = ab(app, system, spaces, arrivals, seed=3)
-        assert request_sig(legacy) == request_sig(event)
-        assert legacy.power_bins_w.tolist() == event.power_bins_w.tolist()
-        assert node_sig(legacy) == node_sig(event)
+        ref, event = ab(app, system, spaces, arrivals, seed=3)
+        assert request_sig(ref) == request_sig(event)
+        assert ref.power_bins_w.tolist() == event.power_bins_w.tolist()
+        assert node_sig(ref) == node_sig(event)
 
     def test_wt_identity(self, wt):
         app, system, spaces = wt
         arrivals = poisson_arrivals(
             150.0, 4_000.0, rng=np.random.default_rng(9)
         )
-        legacy, event = ab(app, system, spaces, arrivals, seed=1)
-        assert request_sig(legacy) == request_sig(event)
-        assert legacy.power_bins_w.tolist() == event.power_bins_w.tolist()
-        assert node_sig(legacy) == node_sig(event)
+        ref, event = ab(app, system, spaces, arrivals, seed=1)
+        assert request_sig(ref) == request_sig(event)
+        assert ref.power_bins_w.tolist() == event.power_bins_w.tolist()
+        assert node_sig(ref) == node_sig(event)
 
     @pytest.mark.parametrize("system_name", ["Homo-GPU", "Homo-FPGA"])
     def test_homogeneous_systems(self, system_name):
@@ -216,39 +205,38 @@ class TestGoldenFaultFree:
         arrivals = poisson_arrivals(
             60.0, 2_000.0, rng=np.random.default_rng(2)
         )
-        legacy, event = ab(app, system, spaces, arrivals, seed=2)
-        assert request_sig(legacy) == request_sig(event)
-        assert legacy.power_bins_w.tolist() == event.power_bins_w.tolist()
+        ref, event = ab(app, system, spaces, arrivals, seed=2)
+        assert request_sig(ref) == request_sig(event)
+        assert ref.power_bins_w.tolist() == event.power_bins_w.tolist()
 
     def test_overload_replans_identical(self, asr):
         """High load crosses several replan intervals and forces the
-        overflow-alternate path; the engines must still agree."""
+        overflow-alternate path; the two paths must still agree."""
         app, system, spaces = asr
         arrivals = poisson_arrivals(
             400.0, 3_000.0, rng=np.random.default_rng(3)
         )
-        legacy, event = ab(app, system, spaces, arrivals, seed=3)
-        assert request_sig(legacy) == request_sig(event)
-        assert node_sig(legacy) == node_sig(event)
+        ref, event = ab(app, system, spaces, arrivals, seed=3)
+        assert request_sig(ref) == request_sig(event)
+        assert node_sig(ref) == node_sig(event)
 
     def test_plan_cache_composes(self, asr):
-        """event + SchedulePlanCache (the full fast path, compiled
-        dispatch programs included) still matches the legacy loop."""
+        """The engine + SchedulePlanCache (the full fast path, compiled
+        dispatch programs included) still matches the uncached
+        per-request path."""
         from repro.scheduler import SchedulePlanCache
 
         app, system, spaces = asr
         arrivals = poisson_arrivals(
             120.0, 3_000.0, rng=np.random.default_rng(6)
         )
-        legacy = run_simulation(
-            system, app, spaces, arrivals, seed=6, engine="legacy"
-        )
+        ref = reference(app, system, spaces, arrivals, seed=6)
         event = run_simulation(
-            system, app, spaces, arrivals, seed=6, engine="event",
+            system, app, spaces, arrivals, seed=6,
             plan_cache=SchedulePlanCache(),
         )
-        assert request_sig(legacy) == request_sig(event)
-        assert legacy.power_bins_w.tolist() == event.power_bins_w.tolist()
+        assert request_sig(ref) == request_sig(event)
+        assert ref.power_bins_w.tolist() == event.power_bins_w.tolist()
 
     def test_pareto_and_flash_crowd_streams(self, wt):
         app, system, spaces = wt
@@ -257,15 +245,18 @@ class TestGoldenFaultFree:
             ArrivalSpec.flash_crowd(40.0, 3_000.0, 1_000.0, 500.0, seed=4),
         ):
             arrivals = spec.generate()
-            legacy, event = ab(app, system, spaces, arrivals, seed=4)
-            assert request_sig(legacy) == request_sig(event), spec.kind
+            ref, event = ab(app, system, spaces, arrivals, seed=4)
+            assert request_sig(ref) == request_sig(event), spec.kind
 
 
 class TestGoldenChaos:
     def test_chaos_identity(self, asr):
         """Chaos runs delegate arrivals to the node (the injector owns
-        retries/failover), so identity is structural — but the whole
-        result must still match the legacy loop exactly."""
+        retries/failover), so the whole result must match a hand-driven
+        ``LeafNode.submit`` loop exactly."""
+        from repro.faults import FaultInjector
+        from repro.runtime.simulation import _power_timeline
+
         app, system, spaces = asr
         arrivals = poisson_arrivals(
             60.0, 4_000.0, rng=np.random.default_rng(8)
@@ -273,13 +264,21 @@ class TestGoldenChaos:
         faults = FaultSchedule.single_crash(
             "fpga0", at_ms=1_000.0, recover_at_ms=2_500.0
         )
-        legacy, event = ab(
-            app, system, spaces, arrivals, seed=8, faults=faults
+        event = run_simulation(
+            system, app, spaces, arrivals, seed=8, faults=faults
         )
-        assert request_sig(legacy) == request_sig(event)
-        assert legacy.power_bins_w.tolist() == event.power_bins_w.tolist()
-        assert legacy.faults.summary() == event.faults.summary()
-        assert legacy.availability == event.availability
+        node = LeafNode(system, app, spaces, seed=8)
+        injector = FaultInjector(faults)
+        injector.bind(node)
+        submitted = [node.submit(t) for t in sorted(arrivals)]
+        assert [
+            (r.arrival_ms, r.completion_ms, r.predicted_ms, r.served)
+            for r in submitted
+        ] == request_sig(event)
+        assert _power_timeline(
+            node, max(arrivals[-1], event.bin_ms), event.bin_ms
+        ).tolist() == event.power_bins_w.tolist()
+        assert injector.report.summary() == event.faults.summary()
 
     def test_traced_identity(self, asr):
         from repro.obs import SpanTracer
@@ -289,10 +288,10 @@ class TestGoldenChaos:
             40.0, 2_000.0, rng=np.random.default_rng(5)
         )
         tracers = []
-        for engine in ("legacy", "event"):
+        for faults in (FaultSchedule(), None):
             tracer = SpanTracer()
             run_simulation(
-                system, app, spaces, arrivals, seed=5, engine=engine,
+                system, app, spaces, arrivals, seed=5, faults=faults,
                 tracer=tracer,
             )
             tracers.append(tracer)
@@ -301,17 +300,6 @@ class TestGoldenChaos:
         assert [e.to_dict() for e in a.events] == [
             e.to_dict() for e in b.events
         ]
-
-
-class TestValidationMode:
-    """Argument validation of the engine selector."""
-
-    def test_unknown_engine_rejected(self, wt):
-        app, system, spaces = wt
-        with pytest.raises(ValueError, match="unknown engine"):
-            run_simulation(
-                system, app, spaces, [1.0], engine="threaded"
-            )
 
 
 class TestClusterGolden:

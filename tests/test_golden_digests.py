@@ -5,8 +5,9 @@
 plan-cached, chaos, traced JSONL} through ``run_simulation`` and an ASR
 fleet replay x {fault-free, chaos on every node, traced nodes} through
 ``ClusterSimulation``.  Every single-node case is recomputed on both
-``run_simulation`` engines, so the per-request reference path and the
-generated dispatch program are each pinned to the same floats.
+request paths (``rec.PATHS``: the per-request reference path, reached
+through an empty fault schedule, and the engine's generated dispatch
+program), so each is pinned to the same floats.
 
 The digests depend on numpy's log-normal and exponential streams; if an
 installed numpy changes them these tests fail (re-record deliberately,
@@ -36,13 +37,13 @@ def test_digest_file_covers_every_case():
     assert sorted(DIGESTS["fleet"]) == sorted(rec.FLEET_MODES)
 
 
-@pytest.mark.parametrize("engine", ["legacy", "event"])
+@pytest.mark.parametrize("path", rec.PATHS)
 @pytest.mark.parametrize("mode", rec.SINGLE_MODES)
 @pytest.mark.parametrize("app", rec.APPS)
-def test_single_node_digest(app, mode, engine):
-    got = rec.single_node_digest(app, mode, engine)
+def test_single_node_digest(app, mode, path):
+    got = rec.single_node_digest(app, mode, path)
     assert got == DIGESTS["single_node"][app][mode], (
-        f"{app}/{mode} on engine={engine} diverged from the golden digest "
+        f"{app}/{mode} on the {path} path diverged from the golden digest "
         f"(recorded with numpy {DIGESTS['numpy']})"
     )
 

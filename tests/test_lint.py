@@ -631,7 +631,11 @@ class TestLintCLI:
         assert set(data["apps"]) == {"ASR", "IR"}
 
     def test_lint_unknown_app_exits_2(self, capsys):
-        assert main(["lint", "--app", "nope"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--app", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert "argument --app: unknown app 'nope'" in err[-1]
 
     def test_lint_bad_app_exits_nonzero_with_error(self, capsys, monkeypatch):
         def build_bad():

@@ -396,9 +396,12 @@ class TestCLI:
         stdout = capsys.readouterr().out
         assert "events" in stdout and "p99" in stdout
 
-    def test_obs_command_unknown_app(self, tmp_path):
-        rc = cli_main(["obs", "NOPE", "--out-dir", str(tmp_path)])
-        assert rc == 2
+    def test_obs_command_unknown_app(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["obs", "NOPE", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert "argument app: unknown app 'NOPE'" in err[-1]
 
     def test_obs_command_with_faults(self, tmp_path):
         out = tmp_path / "obs"

@@ -54,12 +54,11 @@ def _arrivals(rps=40.0, duration_ms=3_000.0, seed=3):
     return poisson_arrivals(rps, duration_ms, rng=np.random.default_rng(seed))
 
 
-def _traced_run(asr, arrivals, seed=3, engine="event", tracer=None):
+def _traced_run(asr, arrivals, seed=3, tracer=None):
     app, system, spaces = asr
     tracer = tracer if tracer is not None else SpanTracer()
     result = run_simulation(
-        system, app, spaces, arrivals, seed=seed, engine=engine,
-        tracer=tracer,
+        system, app, spaces, arrivals, seed=seed, tracer=tracer,
     )
     return result, tracer
 
@@ -231,9 +230,7 @@ class TestTimeSeries:
 
     def test_feed_simulation_result(self, asr):
         app, system, spaces = asr
-        result = run_simulation(
-            system, app, spaces, _arrivals(), seed=3, engine="event"
-        )
+        result = run_simulation(system, app, spaces, _arrivals(), seed=3)
         store = TimeSeriesStore(window_ms=500.0)
         feed_simulation_result(store, result, qos_ms=app.qos_ms)
         assert "latency_ms" in store.series_names()

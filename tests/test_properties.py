@@ -207,12 +207,16 @@ def _serving_env(name):
     return app, system, app.explore(system.platforms)
 
 
-def _request_rows(result):
+def _rows(requests):
     return [
         (r.arrival_ms, r.completion_ms, r.predicted_ms, r.retries,
          r.dropped, r.failed)
-        for r in result.requests
+        for r in requests
     ]
+
+
+def _request_rows(result):
+    return _rows(result.requests)
 
 
 def _fpga_overlaps(node):
@@ -252,6 +256,7 @@ class TestEngineBoundaryProperties:
     def test_fault_free_stream(self, app, rps, seed):
         import numpy as np
 
+        from repro.faults import FaultSchedule
         from repro.runtime import poisson_arrivals, run_simulation
 
         app_, system, spaces = _serving_env(app)
@@ -265,11 +270,14 @@ class TestEngineBoundaryProperties:
         assert all(r.completion_ms >= r.arrival_ms for r in event.requests)
         assert all(r.served for r in event.requests)
         assert _fpga_overlaps(event.node) == []
-        legacy = run_simulation(
-            system, app_, spaces, arrivals, seed=seed, engine="legacy"
+        # The per-request path: an empty fault schedule delegates every
+        # arrival to ``LeafNode.submit`` and injects nothing.
+        ref = run_simulation(
+            system, app_, spaces, arrivals, seed=seed,
+            faults=FaultSchedule(),
         )
-        assert _request_rows(legacy) == _request_rows(event)
-        assert legacy.power_bins_w.tolist() == event.power_bins_w.tolist()
+        assert _request_rows(ref) == _request_rows(event)
+        assert ref.power_bins_w.tolist() == event.power_bins_w.tolist()
 
     @given(
         app=_apps,
@@ -281,8 +289,8 @@ class TestEngineBoundaryProperties:
     def test_chaos_stream_conserves_requests(self, app, rps, seed, mtbf_ms):
         import numpy as np
 
-        from repro.faults import FaultSchedule
-        from repro.runtime import poisson_arrivals, run_simulation
+        from repro.faults import FaultInjector, FaultSchedule
+        from repro.runtime import LeafNode, poisson_arrivals, run_simulation
 
         app_, system, spaces = _serving_env(app)
         arrivals = poisson_arrivals(
@@ -300,14 +308,10 @@ class TestEngineBoundaryProperties:
         priorities = list(
             np.random.default_rng(seed + 1).random(len(arrivals))
         )
-        runs = [
-            run_simulation(
-                system, app_, spaces, arrivals, seed=seed, faults=faults,
-                priorities=priorities, engine=engine,
-            )
-            for engine in ("event", "legacy")
-        ]
-        event, legacy = runs
+        event = run_simulation(
+            system, app_, spaces, arrivals, seed=seed, faults=faults,
+            priorities=priorities,
+        )
         reqs = event.requests
         assert [r.arrival_ms for r in reqs] == sorted(arrivals)
         assert all(r.completion_ms >= r.arrival_ms for r in reqs)
@@ -318,8 +322,18 @@ class TestEngineBoundaryProperties:
         report = event.faults
         assert (report.shed, report.failed_requests) == (shed, failed)
         assert _fpga_overlaps(event.node) == []
-        assert _request_rows(legacy) == _request_rows(event)
-        assert legacy.power_bins_w.tolist() == event.power_bins_w.tolist()
+        # Chaos runs delegate each arrival to the node: a hand-driven
+        # ``LeafNode.submit`` loop is the reference.
+        node = LeafNode(system, app_, spaces, seed=seed)
+        injector = FaultInjector(faults)
+        injector.bind(node)
+        ref = [
+            node.submit(t, priority=p)
+            for t, p in zip(sorted(arrivals), priorities)
+        ]
+        assert _rows(ref) == _request_rows(event)
+        # repr: an episode-free run's mean recovery time is NaN.
+        assert repr(injector.report.summary()) == repr(report.summary())
 
 
 class TestEnergyStepProperties:
