@@ -958,12 +958,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--mtbf-ms",
-        type=float,
+        type=_positive_float,
         help="draw a random fault schedule with this mean time between failures",
     )
     p.add_argument(
         "--mttr-ms",
-        type=float,
+        type=_positive_float,
         default=1_000.0,
         help="mean time to repair for --mtbf-ms schedules",
     )
@@ -1001,34 +1001,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--peak-rps",
-        type=float,
+        type=_positive_float,
         default=None,
         help="offered load at 100%% trace utilization "
         "(default: --peak-factor x one node's capacity)",
     )
     p.add_argument(
         "--peak-factor",
-        type=float,
+        type=_positive_float,
         default=2.5,
         help="derive the peak load as this multiple of one node's capacity",
     )
-    p.add_argument("--min-nodes", type=int, default=1)
-    p.add_argument("--max-nodes", type=int, default=8)
+    p.add_argument("--min-nodes", type=_nonneg_int, default=1)
+    p.add_argument("--max-nodes", type=_positive_int, default=8)
     p.add_argument(
         "--eval-ms",
-        type=float,
+        type=_positive_float,
         default=1_000.0,
         help="autoscaler evaluation interval (simulated ms)",
     )
     p.add_argument(
         "--warmup-ms",
-        type=float,
+        type=_nonneg_float,
         default=2_000.0,
         help="launch-to-serving warm-up delay (simulated ms)",
     )
-    p.add_argument("--up-util", type=float, default=0.85)
-    p.add_argument("--down-util", type=float, default=0.30)
-    p.add_argument("--target-util", type=float, default=0.60)
+    p.add_argument("--up-util", type=_fraction, default=0.85)
+    p.add_argument("--down-util", type=_fraction, default=0.30)
+    p.add_argument("--target-util", type=_fraction, default=0.60)
     p.add_argument("--seed", type=int, default=0, help="cluster root seed")
     p.add_argument(
         "--trace-seed", type=int, default=2011, help="trace-synthesis seed"

@@ -611,7 +611,8 @@ class ClusterSimulation:
         # closes the window ``[t - eval_ms, t)``.
         arr = np.asarray(ordered, dtype=float)
         #: One engine session per node, living across its whole service
-        #: life (fault-injected nodes auto-delegate to ``submit``).
+        #: life (fault-injected nodes hand only fault-touched requests to
+        #: ``LeafNode``).
         sessions: Dict[str, EventHeapEngine] = {}
         i = 0
         while next_eval <= horizon:

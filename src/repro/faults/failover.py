@@ -21,10 +21,12 @@ still meet the 200 ms bound, rather than every request missing it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Set
 
 from ..obs.tracer import NULL_TRACER
+from .policy import DeviceHealth
 
 __all__ = ["RecoveryRecord", "FailoverPlanner"]
 
@@ -73,16 +75,12 @@ class FailoverPlanner:
     def heartbeat(self, now_ms: float) -> None:
         """Live devices heartbeat into the monitor; a crashed device's
         beat stays frozen at its last pre-crash submission."""
-        from .policy import DeviceHealth
-
         for dev in self.node.devices:
             if dev.health != DeviceHealth.FAILED:
                 self.monitor.record_heartbeat(dev.device_id, now_ms)
 
     def poll(self, now_ms: float) -> None:
         """Confirm failures whose heartbeats have lapsed past the timeout."""
-        from .policy import DeviceHealth
-
         by_id = {d.device_id: d for d in self.node.devices}
         for device_id in self.monitor.missed_heartbeats(
             now_ms, self.heartbeat_timeout_ms
@@ -94,6 +92,29 @@ class FailoverPlanner:
                 and not dev.failure_detected
             ):
                 self.confirm_failure(dev, now_ms)
+
+    def next_detection_ms(self) -> float:
+        """Earliest time at which :meth:`poll` confirms a failure, given
+        the monitor's heartbeat table now and no health change before
+        then (``inf``: none pending).  Only a failed, undetected device
+        with a recorded beat can be confirmed; the result is the least
+        ``now`` for which the monitor's own ``now - last >= timeout``
+        test holds (float subtraction is monotone in ``now``)."""
+        timeout = self.heartbeat_timeout_ms
+        first = math.inf
+        for dev in self.node.devices:
+            if dev.health != DeviceHealth.FAILED or dev.failure_detected:
+                continue
+            last = self.monitor.last_heartbeat_ms(dev.device_id)
+            if last is None:
+                continue
+            now = last + timeout
+            while now - last < timeout:
+                now = math.nextafter(now, math.inf)
+            while math.nextafter(now, -math.inf) - last >= timeout:
+                now = math.nextafter(now, -math.inf)
+            first = min(first, now)
+        return first
 
     # -- failover -------------------------------------------------------------
 

@@ -19,6 +19,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -164,6 +165,33 @@ class FaultInjector:
                 **args,
             )
 
+    def next_event_ms(self) -> float:
+        """Time of the first schedule event :meth:`advance` has not
+        applied yet that changes device state (``inf`` when none is
+        left).  Transients are skipped: they act at dispatch time, in
+        :meth:`execution_fault`."""
+        events = self.schedule.events
+        for index in range(self._cursor, len(events)):
+            if events[index].kind != FaultKind.TRANSIENT:
+                return events[index].time_ms
+        return math.inf
+
+    def fault_horizon_ms(self, device_id: str, after_ms: float) -> float:
+        """Earliest time a fault can reach an execution on ``device_id``
+        that starts at or after ``after_ms``: the start of the first
+        outage still open after ``after_ms`` or the first unconsumed
+        transient after it, whichever comes first (``inf``: none).
+        An execution ending before this time is never lost."""
+        horizon = math.inf
+        for lo, hi in self.schedule.down_intervals(device_id):
+            if hi > after_ms:
+                horizon = lo
+                break
+        for index, event in self.schedule.transients_for(device_id):
+            if event.time_ms > after_ms and index not in self._consumed:
+                return min(horizon, event.time_ms)
+        return horizon
+
     # -- dispatch interception ------------------------------------------------
 
     def execution_fault(
@@ -178,21 +206,36 @@ class FaultInjector:
         ``None``.  Transients are one-shot: the first execution that
         overlaps one consumes it.
         """
-        crash_ms = self.schedule.first_crash_overlap(
-            device.device_id, start_ms, end_ms
-        )
-        transient: Optional[Tuple[int, float]] = None
-        for index, event in self.schedule.transients_for(device.device_id):
+        fault = self._first_fault(device.device_id, start_ms, end_ms)
+        if fault is None:
+            return None
+        fault_ms, index = fault
+        if index is None:
+            return fault_ms, FaultKind.DEVICE_CRASH
+        self._consumed.add(index)
+        event = self.schedule.events[index]
+        self.report.applied.append(event)
+        self._trace_applied(event)
+        return fault_ms, FaultKind.TRANSIENT
+
+    def execution_lost(self, device_id: str, start_ms: float, end_ms: float) -> bool:
+        """Whether :meth:`execution_fault` would report a fault for this
+        execution — the same test, without consuming a transient."""
+        return self._first_fault(device_id, start_ms, end_ms) is not None
+
+    def _first_fault(
+        self, device_id: str, start_ms: float, end_ms: float
+    ) -> Optional[Tuple[float, Optional[int]]]:
+        """The earliest fault on ``(start, end]``: ``(fault_ms, None)``
+        for an outage, ``(fault_ms, schedule index)`` for a transient."""
+        crash_ms = self.schedule.first_crash_overlap(device_id, start_ms, end_ms)
+        for index, event in self.schedule.transients_for(device_id):
             if index in self._consumed:
                 continue
             if start_ms < event.time_ms <= end_ms:
-                transient = (index, event.time_ms)
-                break
-        if crash_ms is not None and (transient is None or crash_ms <= transient[1]):
-            return crash_ms, FaultKind.DEVICE_CRASH
-        if transient is not None:
-            self._consumed.add(transient[0])
-            self.report.applied.append(self.schedule.events[transient[0]])
-            self._trace_applied(self.schedule.events[transient[0]])
-            return transient[1], FaultKind.TRANSIENT
+                if crash_ms is not None and crash_ms <= event.time_ms:
+                    break
+                return event.time_ms, index
+        if crash_ms is not None:
+            return crash_ms, None
         return None

@@ -28,37 +28,71 @@ chunked replay through an incremental-EST fast path:
   per-request reference path (``LeafNode.submit`` →
   ``_execute_kernel``/``_allocate``): the generated program replays
   its decisions and float expressions (same finish estimates, same
-  device-id tie-breaks, same overflow rule), draws noise from a
-  buffered log-normal stream (numpy's vectorized draws match scalar
-  draws bit-for-bit), and folds the monitor's EWMA correction inline
-  with identical arithmetic.  Runs the program cannot replay exactly —
-  fault injection (extra RNG consumers, heartbeats) — are *delegated*:
-  each arrival executes, in order, through ``LeafNode.submit`` itself,
-  which is trivially identical.
+  device-id tie-breaks, same overflow rule), draws noise from the
+  node's shared buffered log-normal stream (numpy's vectorized draws
+  match scalar draws bit-for-bit), and folds the monitor's EWMA
+  correction inline with identical arithmetic.
 
-* **Native tracing.** An enabled tracer does not delegate: the engine
-  swaps a :class:`_BufferTracer` onto the node (and its scheduler) for
-  the run's lifetime, the compiled dispatch program appends compact
-  per-request tuples (admit / kernel dispatch / complete) next to the
-  buffered control-plane emissions (replans, scheduler placements,
-  monitor snapshots), and every chunk flushes the buffer to the real
-  tracer in ``LeafNode.submit``'s emission order — so traced seeded
-  runs produce byte-identical span streams to the per-request path.
+* **One device state.** The program and ``LeafNode``'s per-request
+  methods act on the same objects: each device's row store and its
+  open GPU batch cells (``AcceleratorInstance._rows``/
+  ``_open_batches``), its horizon and loaded bitstream, and the node's
+  noise buffer and cursor.  Either path can therefore take over at any
+  request once the engine has synced its inlined state (monitor
+  buffers, EWMA correction, noise cursor, request cursor, deferred
+  heartbeats) onto the node.
+
+* **Native fault handling.** A fault-injected node runs on the program
+  too; a request goes to the per-request path (a *handover*) only where
+  a fault can reach it.  The fault schedule is one more sorted input:
+  the first arrival at or after each state-changing schedule event, and
+  the arrival at which a lapsed heartbeat is detected, go through
+  ``LeafNode.submit`` (which applies the event, detects, quarantines and
+  replans).  Between those cut points device health is constant, so the
+  heartbeats of every natively served arrival are one batch write at
+  the next sync.  While a device is quarantined, arrivals with a
+  priority below ``FailoverPlanner.MAX_SHED`` go through ``submit``
+  (they may be shed); a plan the program cannot compile hands its
+  requests over from their first kernel.  Inside the program,
+  fault-injected nodes carry a per-device guard: a dispatch whose end
+  reaches the device's fault horizon
+  (``FaultInjector.fault_horizon_ms``) and that the injector's own test
+  (``execution_lost``) says is lost returns before committing that
+  kernel or consuming its noise draw, and ``LeafNode`` finishes the
+  request from that kernel through the resilient retry path.  Guarded
+  programs also scale each noise draw by the device's slowdown, as
+  ``_execute_kernel`` does.  Fault-free nodes get no guard, so their
+  program source is unchanged.
+
+* **Native tracing.** An enabled tracer does not force handovers: the
+  engine swaps a :class:`_BufferTracer` onto the node, its scheduler,
+  injector and failover planner for the run's lifetime, the compiled
+  dispatch program appends compact per-request tuples (admit / kernel
+  dispatch / complete) next to the buffered control-plane and fault-path
+  emissions, and every chunk flushes the buffer to the real tracer in
+  ``LeafNode.submit``'s emission order — so traced seeded runs produce
+  byte-identical span streams to the per-request path.
 
 Checked-in golden digests (``tests/test_golden_digests.py``) hold the
-engine and the per-request path (an empty fault schedule delegates
-every arrival to ``LeafNode.submit``) to the same floats on seeded
-fault-free, plan-cached, chaos and traced runs.
+engine and the per-request path (``LeafNode.submit`` driven by hand per
+arrival) to the same floats on seeded fault-free, plan-cached, chaos
+and traced runs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ..faults.failover import FailoverPlanner
+from ..faults.policy import DeviceHealth
 from ..hardware.specs import DeviceType
-from .node import MAX_GPU_BATCH, NOISE_SIGMA, LeafNode, RequestRecord
+from .node import (
+    MAX_GPU_BATCH,
+    NOISE_BLOCK,
+    NOISE_SIGMA,
+    LeafNode,
+    RequestRecord,
+)
 
 __all__ = ["EventHeapEngine"]
 
@@ -73,6 +107,10 @@ ARRIVAL_CHUNK = 1024
 #: plan shape, so the cache stays small).
 _CODE_CACHE: Dict[str, object] = {}
 
+#: Priorities at or above this are never shed (the planner caps its
+#: shed level here), so they run natively while a device is quarantined.
+_NEVER_SHED = FailoverPlanner.MAX_SHED
+
 
 # Compiled dispatch-entry field layout (tuples, not dataclasses: the
 # inner loop indexes them):
@@ -81,24 +119,27 @@ _CODE_CACHE: Dict[str, object] = {}
 # where lats/pows are 1-indexed per-batch ladders (GPU, lazily filled
 # through ``fill`` — 0.0 marks an unfilled cell, latencies are always
 # positive) or None (FPGA), and each device row is the mutable list
-#   row = [device, open_batches, pending_rows, rank, reconfig_ms]
-# with open-batch cells [launch_ms, end_ms, size, row_ref, noise].
-# Rows are rank-sorted, so a pool scan needs only a strict ``<`` —
-# the first minimum seen is the lowest-ranked one.
+#   row = [device, open_batches, execution_rows, rank, reconfig_ms]
+# holding the device's own stores (``AcceleratorInstance._open_batches``
+# with cells [launch_ms, end_ms, size, row_ref, noise], and
+# ``AcceleratorInstance._rows``).  Rows are rank-sorted, so a pool scan
+# needs only a strict ``<`` — the first minimum seen is the
+# lowest-ranked one.
 
 
 class _BufferTracer:
     """Tracer stand-in the engine swaps onto the node (and its
-    scheduler) for the lifetime of a traced fast-path run.
+    scheduler, injector and failover planner) for the lifetime of a
+    traced run.
 
-    Control-plane emissions — replans, scheduler placements, monitor
-    snapshots — land in the engine's trace buffer as passthrough
-    records, interleaved with the compact per-request tuples the
-    dispatch program appends, so :meth:`EventHeapEngine._flush_trace`
-    can replay the whole stream to the real tracer in
-    ``LeafNode.submit``'s emission order.  Timestamps resolve at emit
-    time (``now_ms`` is mutable and advanced by ``maybe_replan`` exactly
-    as on a real tracer)."""
+    Control-plane and fault-path emissions — replans, scheduler
+    placements, monitor snapshots, handed-over requests — land in the
+    engine's trace buffer as passthrough records, interleaved with the
+    compact per-request tuples the dispatch program appends, so
+    :meth:`EventHeapEngine._flush_trace` can replay the whole stream to
+    the real tracer in ``LeafNode.submit``'s emission order.  Timestamps
+    resolve at emit time (``now_ms`` is mutable and advanced by
+    ``maybe_replan`` exactly as on a real tracer)."""
 
     __slots__ = ("_append", "now_ms")
 
@@ -143,20 +184,20 @@ class EventHeapEngine:
     :meth:`finalize` once after the last arrival to flush the inlined
     monitor state and the noise-buffer cursor back onto the node.
 
-    Runs the fast path cannot replicate exactly — an attached fault
-    injector (extra RNG consumers, heartbeats) — are delegated to
-    ``node.submit`` per arrival, in order (``delegated`` is True);
-    everything the engine promises about bit-identity then holds
-    trivially.  An enabled tracer runs *natively*: emissions buffer as
+    A node with a fault injector runs natively as well: the engine hands
+    a request to ``LeafNode`` only where a fault can reach it (the
+    module docstring gives the rule), and :attr:`handovers` counts those
+    requests.  An enabled tracer also runs natively: emissions buffer as
     compact tuples and flush per chunk in ``LeafNode.submit``'s order,
-    byte-identical to the delegated stream (golden-tested) at a
-    fraction of its cost.
+    byte-identical to the per-request stream (golden-tested).
     """
 
     def __init__(self, node: LeafNode) -> None:
         self._node = node
-        self.delegated = node._injector is not None
-        self._traced = node.tracer.enabled and not self.delegated
+        self._traced = node.tracer.enabled
+        #: The node's fault injector; None compiles unguarded programs
+        #: and never hands a request over.
+        self._inj = node._injector
 
         mon = node.monitor
         self._corr = mon._correction
@@ -166,26 +207,27 @@ class EventHeapEngine:
         self._arr: List[float] = []
         self._lats: List[float] = []
 
-        #: Buffered noise draws, adopted from the node (same stream).
-        self._nbuf: List[float] = node._noise_buf.tolist()
+        #: The node's buffered noise draws and cursor (one stream).
+        self._nbuf: List[float] = node._noise_buf
         self._npos = node._noise_pos
 
         self._req_arr: List[float] = []
         self._req_comp: List[float] = []
         self._req_pred: List[float] = []
+        #: Full records of handed-over requests (retries, shed, failed
+        #: flags), by request index.
+        self._handed: Dict[int, RequestRecord] = {}
         self._max_comp = 0.0
 
-        #: Integer tie-break ranks, ordered by device_id — isomorphic to
-        #: the per-request path's string comparisons (ids are unique).
-        self._ranks = {
-            d.device_id: i
-            for i, d in enumerate(
-                sorted(node.devices, key=lambda d: d.device_id)
-            )
-        }
+        #: Devices in device-id order; a device's index is its integer
+        #: tie-break rank — isomorphic to the per-request path's string
+        #: comparisons (ids are unique).
+        self._by_rank = sorted(node.devices, key=lambda d: d.device_id)
+        self._ranks = {d.device_id: i for i, d in enumerate(self._by_rank)}
         self._rows: Dict[int, list] = {}
         self._compiled: Dict[int, tuple] = {}
-        #: Compiled dispatch program for the current plan.
+        #: Compiled dispatch program for the current plan (None: no plan
+        #: the program can serve).
         self._fn: Any = None
         self._plan_ok = False
         self._win = 0.0
@@ -199,23 +241,40 @@ class EventHeapEngine:
         self._sinks = tuple(self._kindex[s] for s in node._sinks)
         self._finalized = False
 
+        #: Fault state of guarded programs, refreshed at every handover:
+        #: per-rank fault horizons (read by the program's guards), the
+        #: next cut time (schedule event or heartbeat detection; None
+        #: until the first arrival), whether any device is quarantined,
+        #: and the last natively served arrival whose heartbeats are not
+        #: yet written.
+        self._guards = [float("inf")] * len(self._by_rank)
+        self._cut: Optional[float] = None
+        self._quarantined = False
+        self._beat_ms: Optional[float] = None
+
         #: Timestamp of the last admitted arrival (the ordering guard).
         self._last_t: Optional[float] = None
-        #: Native-tracing state: the trace buffer, the real tracer, and
-        #: the request-sequence cursor adopted from the node.  The
-        #: buffer tracer stays swapped in until :meth:`finalize`.
+        #: Native-tracing state: the trace buffer, the request-sequence
+        #: cursor adopted from the node, and the (object, real tracer)
+        #: pairs the buffer tracer replaces until :meth:`finalize`.
         self._tb: list = []
         self._rq = node._req_seq
-        self._sched_swapped = False
+        self._swapped: List[Tuple[object, object]] = []
         if self._traced:
             self._tracer = node.tracer
+            owners = [node]
+            if hasattr(node._scheduler, "tracer"):
+                owners.append(node._scheduler)
+            if self._inj is not None:
+                owners += [
+                    o
+                    for o in (self._inj, self._inj.planner)
+                    if o.tracer is self._tracer
+                ]
             buffer_tracer = _BufferTracer(self._tb)
-            node.tracer = buffer_tracer
-            sched = node._scheduler
-            if hasattr(sched, "tracer"):
-                self._sched_swapped = True
-                self._sched_tracer = sched.tracer
-                sched.tracer = buffer_tracer
+            for owner in owners:
+                self._swapped.append((owner, owner.tracer))
+                owner.tracer = buffer_tracer
 
     # -- driving --------------------------------------------------------------
 
@@ -224,21 +283,8 @@ class EventHeapEngine:
         ordered: Sequence[float],
         priorities: Optional[Sequence[float]] = None,
     ) -> List[RequestRecord]:
-        """Replay a sorted arrival stream and return its request records.
-
-        Fast-path runs admit the stream in ``ARRIVAL_CHUNK`` slices;
-        delegated runs submit each arrival through the node, in order.
-        """
-        if self.delegated:
-            submit = self._node.submit
-            if priorities is None:
-                records = [submit(t) for t in ordered]
-            else:
-                records = [
-                    submit(t, priority=p) for t, p in zip(ordered, priorities)
-                ]
-            self.finalize()
-            return records
+        """Replay a sorted arrival stream (in ``ARRIVAL_CHUNK`` slices)
+        and return its request records."""
         for i in range(0, len(ordered), ARRIVAL_CHUNK):
             prios = (
                 None if priorities is None else priorities[i : i + ARRIVAL_CHUNK]
@@ -249,51 +295,42 @@ class EventHeapEngine:
 
     def process(self, t_ms: float, priority: float = 1.0) -> RequestRecord:
         """Admit one arrival (the cluster driver's entry point)."""
-        if self.delegated:
-            return self._node.submit(t_ms, priority=priority)
         self._process_chunk((t_ms,), (priority,))
-        return RequestRecord(
-            self._req_arr[-1], self._req_comp[-1], self._req_pred[-1]
-        )
+        k = len(self._req_comp) - 1
+        handed = self._handed.get(k)
+        if handed is not None:
+            return handed
+        return RequestRecord(self._req_arr[k], self._req_comp[k], self._req_pred[k])
 
     def records(self) -> List[RequestRecord]:
-        """Materialize the per-request records (fast-path runs)."""
-        return [
+        """Materialize the per-request records."""
+        out = [
             RequestRecord(a, c, p)
             for a, c, p in zip(self._req_arr, self._req_comp, self._req_pred)
         ]
+        for k, record in self._handed.items():
+            out[k] = record
+        return out
 
     @property
-    def max_completion_ms(self) -> float:
-        return self._max_comp
+    def handovers(self) -> int:
+        """Requests realized (whole or from some kernel on) by
+        ``LeafNode``'s per-request path instead of the program."""
+        return len(self._handed)
 
     def finalize(self) -> None:
-        """Flush inlined state back onto the node: the monitor's
-        sliding windows (deque ``maxlen`` truncates identically to
-        per-request appends), the EWMA correction, and the noise-buffer
-        cursor — after this the node is indistinguishable from one that
-        ran the per-request path.  Traced runs additionally flush the
-        trace buffer, restore the real tracer onto the node/scheduler,
-        and write the request-sequence cursor back."""
-        if self._finalized or self.delegated:
-            self._finalized = True
+        """Sync the inlined state onto the node (:meth:`_sync_out`) —
+        after this the node is indistinguishable from one that ran the
+        per-request path.  Traced runs additionally flush the trace
+        buffer and restore the real tracers."""
+        if self._finalized:
             return
-        node = self._node
-        mon = node.monitor
-        mon._arrival_times.extend(self._arr)
-        mon._latencies.extend(self._lats)
-        mon._correction = self._corr
-        self._arr = []
-        self._lats = []
-        node._noise_buf = np.asarray(self._nbuf)
-        node._noise_pos = self._npos
+        self._sync_out()
         if self._traced:
             self._flush_trace()
-            node.tracer = self._tracer
-            if self._sched_swapped:
-                node._scheduler.tracer = self._sched_tracer
-            node._req_seq = self._rq
-            node._current_req = self._rq
+            for owner, tracer in self._swapped:
+                owner.tracer = tracer
+            self._swapped.clear()
         self._finalized = True
 
     def _flush_trace(self) -> None:
@@ -321,8 +358,8 @@ class EventHeapEngine:
         if row is None:
             row = [
                 dev,
-                {},
-                dev.adopt_row_store(),
+                dev._open_batches,
+                dev._rows,
                 self._ranks[dev.device_id],
                 dev.reconfig_ms,
             ]
@@ -399,26 +436,44 @@ class EventHeapEngine:
 
     def _sync_plan(self, t_ms: float) -> None:
         """Replan through the node (same signal path, same state
-        mutations) and point the fast loop at the compiled table for
-        whichever plan object is now active."""
+        mutations) and adopt whichever plan is now active."""
+        self._node.maybe_replan(t_ms)
+        self._adopt_plan()
+
+    def _adopt_plan(self) -> None:
+        """Point the fast loop at the compiled program for the node's
+        active plan (compiling it on first sight).  On a fault-injected
+        node a plan the program cannot serve — a total blackout, or a
+        kernel whose planned platforms all died — leaves ``_fn`` None,
+        and its requests are handed over from their first kernel."""
         node = self._node
-        node.maybe_replan(t_ms)
         plan = node._plan
         self._plan_ok = bool(plan)
         self._last_replan = node._last_replan_ms
         self._makespan = node._plan_makespan_ms
         self._win = node._batch_window_ms()
+        self._fn = None
         if not plan:
             return
         cached = self._compiled.get(id(plan))
         if cached is None or cached[0] is not plan:
-            cached = (plan, self._codegen(self._compile(plan), self._traced))
+            try:
+                steps = self._compile(plan)
+            except RuntimeError:
+                if self._inj is None:
+                    raise
+                cached = (plan, None)
+            else:
+                cached = (
+                    plan,
+                    self._codegen(steps, self._traced, self._inj is not None),
+                )
             self._compiled[id(plan)] = cached
         self._fn = cached[1]
 
     # -- dispatch-program generation -------------------------------------------
 
-    def _codegen(self, steps, traced: bool = False):
+    def _codegen(self, steps, traced: bool = False, guarded: bool = False):
         """Specialize the compiled tables into one straight-line chunk
         runner for this plan.
 
@@ -452,6 +507,17 @@ class EventHeapEngine:
         program points ``LeafNode.submit`` emits, and returns ``rq``.
         The traced variant generates different source, so it lands in
         its own ``_CODE_CACHE`` entry.
+
+        With ``guarded`` (fault-injected nodes) the runner takes the
+        stop index ``n`` as its third parameter, reads each device's
+        fault horizon from ``self._guards`` and its slowdown from the
+        device, and returns one more value, ``hk``: -1, or the
+        topological index of the kernel it stopped at — a dispatch whose
+        ``end`` reaches its device's horizon and that the injector's
+        ``execution_lost`` test fails returns before committing that
+        kernel or consuming its noise draw, leaving the request (already
+        admitted, ``i`` past it) for ``LeafNode`` to finish from kernel
+        ``hk``.
         """
         node = self._node
         consts: list = []
@@ -501,7 +567,10 @@ class EventHeapEngine:
         RPA = bind(self._req_pred.append, "RPA")
         LN = bind(node._rng.lognormal, "LN")
         TB = bind(self._tb.append, "TB") if traced else ""
+        GD = bind(self._guards, "GD") if guarded else ""
+        FX = bind(self._inj.execution_lost, "FX") if guarded else ""
         sigma = repr(NOISE_SIGMA)
+        block = repr(int(NOISE_BLOCK))
         maxb = repr(int(MAX_GPU_BATCH))
         alpha = repr(self._alpha)
         clo = repr(self._corr_lo)
@@ -547,6 +616,24 @@ class EventHeapEngine:
             di = dev_slot[id(row[0])]
             dn = dev_name[di]
             h = f"h{di}"
+
+            dev_id = row[0].device_id
+            # Guarded programs scale the draw by the device's slowdown
+            # (``_execute_kernel``'s ``noise *= slowdown``; x * 1.0 == x).
+            nz = "nz" if guarded else "noise"
+            if guarded:
+                emit(f"{pad}nz = noise * s{di}")
+
+            def guard(gpad: str, start: str) -> None:
+                # Stop before the commit when a fault reaches it: the
+                # horizon test filters, the injector's own test decides.
+                if guarded:
+                    emit(
+                        f"{gpad}if end >= g{di} and "
+                        f"{FX}({dev_id!r}, {start}, end):"
+                    )
+                    emit(f"{gpad}    hk = {ki}")
+                    emit(f"{gpad}    break")
             if not preds:
                 emit(f"{pad}ready = t")
             else:
@@ -562,7 +649,6 @@ class EventHeapEngine:
                         f"else e{j} + {x!r}"
                     )
                     emit(f"{pad}if p > ready: ready = p")
-            dev_id = row[0].device_id
             if entry[3]:
                 bd = bd_name[id(row[0])]
                 emit(f"{pad}b = {bd}.get({nm['K']})")
@@ -570,13 +656,23 @@ class EventHeapEngine:
                     f"{pad}if b is not None and b[0] >= ready "
                     f"and b[2] < {maxb}:"
                 )
-                emit(f"{pad}    oe = b[1]")
-                emit(f"{pad}    sz = b[2] + 1")
-                emit(f"{pad}    b[2] = sz")
-                emit(f"{pad}    lv = {nm['LT']}[sz]")
-                emit(f"{pad}    if lv == 0.0:")
-                emit(f"{pad}        lv = {nm['FL']}(sz)")
-                emit(f"{pad}    end = b[0] + lv * b[4]")
+                if guarded:
+                    emit(f"{pad}    sz = b[2] + 1")
+                    emit(f"{pad}    lv = {nm['LT']}[sz]")
+                    emit(f"{pad}    if lv == 0.0:")
+                    emit(f"{pad}        lv = {nm['FL']}(sz)")
+                    emit(f"{pad}    end = b[0] + lv * b[4]")
+                    guard(pad + "    ", "b[0]")
+                    emit(f"{pad}    oe = b[1]")
+                    emit(f"{pad}    b[2] = sz")
+                else:
+                    emit(f"{pad}    oe = b[1]")
+                    emit(f"{pad}    sz = b[2] + 1")
+                    emit(f"{pad}    b[2] = sz")
+                    emit(f"{pad}    lv = {nm['LT']}[sz]")
+                    emit(f"{pad}    if lv == 0.0:")
+                    emit(f"{pad}        lv = {nm['FL']}(sz)")
+                    emit(f"{pad}    end = b[0] + lv * b[4]")
                 emit(f"{pad}    b[1] = end")
                 emit(f"{pad}    rec = b[3]")
                 emit(f"{pad}    rec[3] = end")
@@ -592,14 +688,15 @@ class EventHeapEngine:
                 emit(f"{pad}else:")
                 emit(f"{pad}    rw = ready + win")
                 emit(f"{pad}    la = {h} if {h} > rw else rw")
-                emit(f"{pad}    end = la + {entry[1]!r} * noise")
+                emit(f"{pad}    end = la + {entry[1]!r} * {nz}")
+                guard(pad + "    ", "la")
                 emit(
                     f"{pad}    rec = [{nm['N']}, {entry[8]!r}, la, end, "
                     f"{entry[5]!r}, 1]"
                 )
                 emit(f"{pad}    {ra_name[id(row[0])]}(rec)")
                 emit(f"{pad}    {h} = end")
-                emit(f"{pad}    {bd}[{nm['K']}] = [la, end, 1, rec, noise]")
+                emit(f"{pad}    {bd}[{nm['K']}] = [la, end, 1, rec, {nz}]")
                 if traced:
                     emit(
                         f"{pad}    {TB}((2, ready, rq, {entry[9]!r}, "
@@ -610,8 +707,13 @@ class EventHeapEngine:
                 emit(f"{pad}st = {h} if {h} > ready else ready")
                 emit(f"{pad}if {li} is not None and {li} != {nm['K']}:")
                 emit(f"{pad}    st += {row[4]!r}")
-                emit(f"{pad}{li} = {nm['K']}")
-                emit(f"{pad}end = st + {entry[1]!r} * noise")
+                if guarded:
+                    emit(f"{pad}end = st + {entry[1]!r} * nz")
+                    guard(pad, "st")
+                    emit(f"{pad}{li} = {nm['K']}")
+                else:
+                    emit(f"{pad}{li} = {nm['K']}")
+                    emit(f"{pad}end = st + {entry[1]!r} * noise")
                 emit(
                     f"{pad}{ra_name[id(row[0])]}(({nm['N']}, {entry[8]!r}, "
                     f"st, end, {entry[5]!r}, 1))"
@@ -630,11 +732,15 @@ class EventHeapEngine:
         )
         emit("def _make(_C):")
         extra = " rq, sk, pr," if traced else ""
+        stop = " n," if guarded else ""
         emit(
-            "    def _run(chunk, i, t_limit, win, mk, corr, npos, nbuf,"
+            f"    def _run(chunk, i,{stop} t_limit, win, mk, corr, npos, nbuf,"
             f" max_comp,{extra} {params}):"
         )
-        emit("        n = len(chunk)")
+        if guarded:
+            emit("        hk = -1")
+        else:
+            emit("        n = len(chunk)")
         emit("        nlen = len(nbuf)")
         for ki in range(len(steps)):
             emit(f"        e{ki} = {ET}[{ki}]")
@@ -643,6 +749,9 @@ class EventHeapEngine:
             emit(f"        h{di} = {dn}.horizon_ms")
             if dev_fpga[di]:
                 emit(f"        l{di} = {dn}.loaded_impl")
+            if guarded:
+                emit(f"        g{di} = {GD}[{dev_row[di][3]}]")
+                emit(f"        s{di} = {dn}.slowdown")
         emit("        while i < n:")
         emit("            t = chunk[i]")
         emit("            if t >= t_limit:")
@@ -712,11 +821,12 @@ class EventHeapEngine:
                             bw += 1
 
             emit(f"{pad}if npos >= nlen:")
-            emit(f"{pad}    nbuf = {LN}(0.0, {sigma}, 2048).tolist()")
-            emit(f"{pad}    nlen = 2048")
+            emit(f"{pad}    nbuf = {LN}(0.0, {sigma}, {block}).tolist()")
+            emit(f"{pad}    nlen = {block}")
             emit(f"{pad}    npos = 0")
             emit(f"{pad}noise = nbuf[npos]")
-            emit(f"{pad}npos += 1")
+            if not guarded:
+                emit(f"{pad}npos += 1")
 
             if single:
                 dispatch_code(pad, ki, branches[0][0], branches[0][1], preds)
@@ -727,6 +837,9 @@ class EventHeapEngine:
                     else:
                         emit(f"{pad}elif bw == {bw}:")
                     dispatch_code(pad + "    ", ki, entry, row, preds)
+            if guarded:
+                # Consumed only once the kernel committed.
+                emit(f"{pad}npos += 1")
 
         sinks = self._sinks
         emit(f"{pad}comp = e{sinks[0]}")
@@ -755,10 +868,12 @@ class EventHeapEngine:
         for ki in range(len(steps)):
             emit(f"        {ET}[{ki}] = e{ki}")
             emit(f"        {ED}[{ki}] = d{ki}")
+        ret = "        return i, corr, npos, nbuf, max_comp"
         if traced:
-            emit("        return i, corr, npos, nbuf, max_comp, rq")
-        else:
-            emit("        return i, corr, npos, nbuf, max_comp")
+            ret += ", rq"
+        if guarded:
+            ret += ", hk"
+        emit(ret)
         emit("    return _run")
 
         src = "\n".join(out) + "\n"
@@ -777,12 +892,12 @@ class EventHeapEngine:
     # -- the fast path ---------------------------------------------------------
 
     def _flush_monitor(self) -> None:
-        """Sync the inlined monitor state onto the node before a traced
-        replan: ``monitor.snapshot`` inside ``maybe_replan`` must see
+        """Sync the inlined monitor state onto the node — before a traced
+        replan (``monitor.snapshot`` inside ``maybe_replan`` must see
         exactly the arrivals/latencies/correction the per-request path
-        would — every prior request completed, the triggering one not
-        yet recorded.  ``clear()`` (never rebinding) keeps the compiled
-        program's bound ``append`` methods valid."""
+        would: every prior request completed, the triggering one not yet
+        recorded) and before a handover.  ``clear()`` (never rebinding)
+        keeps the compiled program's bound ``append`` methods valid."""
         mon = self._node.monitor
         mon._arrival_times.extend(self._arr)
         mon._latencies.extend(self._lats)
@@ -802,9 +917,15 @@ class EventHeapEngine:
         ``LeafNode._execute_kernel``, with the monitor's bookkeeping
         inlined (EWMA correction folded sequentially; queue depth nets
         to zero per request; the sliding windows are rebuilt at
-        finalize).  ``prios`` only matters for traced runs (admit events
-        carry the priority); the simulated floats never depend on it
-        outside delegated chaos runs.
+        finalize).  ``prios`` only changes floats through load shedding
+        (fault-injected nodes hand low priorities over while a device is
+        quarantined); traced admit events carry it.
+
+        On a fault-injected node a segment also ends at the next cut
+        (schedule event or heartbeat detection), at the next arrival
+        that may be shed, and where the program's fault guard stops a
+        request; each of those arrivals is handed over
+        (:meth:`_handover`) and the segment loop goes on.
 
         Traced runs differ per segment, each step forced by
         ``LeafNode.submit``'s emission order: the admit of a
@@ -827,67 +948,85 @@ class EventHeapEngine:
                 f"arrival at {self._last_t} ms; streams must be sorted"
             )
         traced = self._traced
+        guarded = self._inj is not None
         interval = self._node.replan_interval_ms
         self._req_arr.extend(chunk)
-        if not traced:
-            self._arr.extend(chunk)
         i = 0
         while i < n:
             t = chunk[i]
+            prio = 1.0 if prios is None else prios[i]
+            if guarded:
+                if self._cut is None:
+                    self._refresh_faults(t)
+                if t >= self._cut or (self._quarantined and prio < _NEVER_SHED):
+                    self._handover(t, prio)
+                    i += 1
+                    continue
+                stop = n
+                if self._quarantined and prios is not None:
+                    # The next arrival that may be shed ends the segment.
+                    stop = i + 1
+                    while stop < n and prios[stop] >= _NEVER_SHED:
+                        stop += 1
             sk = 0
             if not self._plan_ok or t - self._last_replan >= interval:
                 if traced:
                     self._rq += 1
-                    self._tb.append(
-                        (1, t, self._rq, 1.0 if prios is None else prios[i])
-                    )
+                    self._tb.append((1, t, self._rq, prio))
                     sk = 1
                     self._flush_monitor()
                 self._sync_plan(t)
-                if not self._plan_ok:
+                if guarded:
+                    self._refresh_guards(t)
+            if self._fn is None:
+                if not guarded:
                     raise RuntimeError("node has no plan (fast path)")
+                # No program for this plan: the node realizes the
+                # (admitted, replanned) request from its first kernel.
+                if traced and not sk:
+                    self._rq += 1
+                    self._tb.append((1, t, self._rq, prio))
+                self._arr.append(t)
+                self._beat_ms = t
+                i += 1
+                self._handover(t, prio, first=0, ends={})
+                continue
+            prev = i
+            t_limit = self._last_replan + interval
+            if guarded and self._cut < t_limit:
+                t_limit = self._cut
+            out = self._fn(
+                chunk,
+                i,
+                *((stop, t_limit) if guarded else (t_limit,)),
+                self._win,
+                self._makespan,
+                self._corr,
+                self._npos,
+                self._nbuf,
+                self._max_comp,
+                *((self._rq, sk, prios) if traced else ()),
+            )
+            i, self._corr, self._npos, self._nbuf, self._max_comp = out[:5]
             if traced:
-                prev = i
-                (
-                    i,
-                    self._corr,
-                    self._npos,
-                    self._nbuf,
-                    self._max_comp,
-                    self._rq,
-                ) = self._fn(
-                    chunk,
-                    i,
-                    self._last_replan + interval,
-                    self._win,
-                    self._makespan,
-                    self._corr,
-                    self._npos,
-                    self._nbuf,
-                    self._max_comp,
-                    self._rq,
-                    sk,
-                    prios,
-                )
-                self._arr.extend(chunk[prev:i])
-            else:
-                (
-                    i,
-                    self._corr,
-                    self._npos,
-                    self._nbuf,
-                    self._max_comp,
-                ) = self._fn(
-                    chunk,
-                    i,
-                    self._last_replan + interval,
-                    self._win,
-                    self._makespan,
-                    self._corr,
-                    self._npos,
-                    self._nbuf,
-                    self._max_comp,
-                )
+                self._rq = out[5]
+            self._arr.extend(chunk[prev:i])
+            if guarded and i > prev:
+                self._beat_ms = chunk[i - 1]
+                hk = out[-1]
+                if hk >= 0:
+                    # The guard stopped request i - 1 before kernel hk.
+                    order = self._node._topo_order
+                    ends_dev = self._ends_dev
+                    self._handover(
+                        chunk[i - 1],
+                        1.0 if prios is None else prios[i - 1],
+                        first=hk,
+                        ends={
+                            order[j]: (self._ends_t[j], ends_dev[j].device_id)
+                            for j in range(hk)
+                        },
+                    )
         w = self._window
         if len(self._lats) > 4 * w:
             del self._lats[: len(self._lats) - w]
@@ -896,3 +1035,74 @@ class EventHeapEngine:
         self._last_t = chunk[n - 1]
         if traced:
             self._flush_trace()
+
+    # -- handing requests to the node ------------------------------------------
+
+    def _handover(
+        self,
+        t_ms: float,
+        priority: float,
+        first: Optional[int] = None,
+        ends: Optional[Dict[str, Tuple[float, str]]] = None,
+    ) -> None:
+        """Realize one request on ``LeafNode``'s per-request path: the
+        whole arrival through ``submit`` (``first`` None), or an
+        admitted request from kernel ``first`` on with the ``ends`` the
+        program built.  The engine's state is synced onto the node
+        before and read back after."""
+        node = self._node
+        self._sync_out()
+        if first is None:
+            record = node.submit(t_ms, priority=priority)
+        else:
+            record = node._finish_request(t_ms, first, ends)
+        self._handed[len(self._req_comp)] = record
+        self._req_comp.append(record.completion_ms)
+        self._req_pred.append(record.predicted_ms)
+        self._corr = node.monitor._correction
+        self._nbuf = node._noise_buf
+        self._npos = node._noise_pos
+        self._rq = node._req_seq
+        self._adopt_plan()
+        self._refresh_faults(t_ms)
+
+    def _sync_out(self) -> None:
+        """Write the inlined state onto the node: monitor buffers and
+        correction, the noise cursor, the request cursor (traced), and
+        — for natively served arrivals since the last sync — the
+        heartbeats every live device sent and the shed level the last
+        one set (health is constant between cut points, so each is one
+        write)."""
+        node = self._node
+        self._flush_monitor()
+        node._noise_buf = self._nbuf
+        node._noise_pos = self._npos
+        if self._traced:
+            node._req_seq = node._current_req = self._rq
+        beat = self._beat_ms
+        if beat is not None:
+            self._beat_ms = None
+            record = node.monitor.record_heartbeat
+            for dev in node.devices:
+                if dev.health != DeviceHealth.FAILED:
+                    record(dev.device_id, beat)
+            if self._quarantined:
+                node._planner.should_shed(1.0, beat)
+
+    def _refresh_faults(self, t_ms: float) -> None:
+        """Recompute the fault state the cut test and the program read,
+        as of arrival ``t_ms``: the next cut (the injector's next
+        state-changing schedule event, or the planner's next heartbeat
+        detection), the quarantined flag and the fault horizons."""
+        planner = self._node._planner
+        self._cut = min(self._inj.next_event_ms(), planner.next_detection_ms())
+        self._quarantined = bool(planner.quarantined)
+        self._refresh_guards(t_ms)
+
+    def _refresh_guards(self, t_ms: float) -> None:
+        """Per-device fault horizons as of arrival ``t_ms`` (valid for
+        any later arrival: they only grow as time passes, and a stale,
+        smaller horizon merely sends more dispatches to the exact test)."""
+        horizon = self._inj.fault_horizon_ms
+        for rank, dev in enumerate(self._by_rank):
+            self._guards[rank] = horizon(dev.device_id, t_ms)

@@ -62,6 +62,8 @@ __all__ = [
 MAX_GPU_BATCH = 10
 #: Log-normal sigma of the execution-time noise (paper: <6% model error).
 NOISE_SIGMA = 0.04
+#: Noise draws per refill of a node's noise buffer.
+NOISE_BLOCK = 2048
 
 
 @dataclass
@@ -77,21 +79,23 @@ class ExecutionRecord:
     batch: int = 1
 
 
-@dataclass
-class _OpenBatch:
-    """A GPU batch that has not launched yet and may accept joiners."""
-
-    kernel_name: str
-    point: DesignPoint
-    launch_ms: float
-    end_ms: float
-    size: int
-    record: ExecutionRecord
-    noise: float
-
-
 class AcceleratorInstance:
-    """One physical accelerator with its reservation timeline."""
+    """One physical accelerator with its reservation timeline.
+
+    Both request paths — the simulation engine's generated dispatch
+    program and :meth:`dispatch` — act on the same two stores, so a run
+    may switch between them at any request:
+
+    * ``_rows``: one row per realized execution, in dispatch order,
+      ``(kernel, point_index, start, end, power, batch)`` — a list for a
+      GPU batch (joins stretch it in place), a tuple otherwise.
+      :class:`ExecutionRecord`s are built from the rows only when
+      :attr:`records` is read (post-run).
+    * ``_open_batches``: GPU batches that have not launched yet, keyed
+      by implementation, as mutable cells ``[launch_ms, end_ms, size,
+      row, noise]``.  The dict is cleared in place, never rebound (the
+      engine's programs hold it).
+    """
 
     def __init__(self, device_id: str, spec, latency_fn) -> None:
         self.device_id = device_id
@@ -99,15 +103,9 @@ class AcceleratorInstance:
         self.device_type: DeviceType = spec.device_type
         self.dvfs = DVFSPolicy(spec)
         self.horizon_ms = 0.0
-        self._records: List[ExecutionRecord] = []
-        #: Columnar execution rows appended by the simulation engine
-        #: (``[kernel, point, start, end, power, batch]`` per realized
-        #: execution), materialized into :class:`ExecutionRecord`s only
-        #: when :attr:`records` is read — the engine's hot path never
-        #: constructs dataclasses.
-        self._pending_rows: Optional[List[list]] = None
+        self._rows: List = []
         self._latency_fn = latency_fn
-        self._open_batches: Dict[Tuple[str, int], _OpenBatch] = {}
+        self._open_batches: Dict[Tuple[str, int], list] = {}
         #: (kernel_name, point_index) currently configured on an FPGA.
         self.loaded_impl: Optional[Tuple[str, int]] = None
         self.reconfig_ms = getattr(spec, "reconfig_ms", 0.0)
@@ -124,56 +122,24 @@ class AcceleratorInstance:
 
     @property
     def records(self) -> List[ExecutionRecord]:
-        """Realized executions, materializing any engine rows first.
-
-        The returned list is the live backing store (callers append to
-        it on the per-request dispatch path).  Materialization keeps row
-        order, so record-major consumers (the power timeline) see the
-        same dispatch-ordered sequence either way.  Reading this while
-        the event engine still holds an open GPU batch on a pending row
-        would detach that batch's future join mutations — the engine
-        only exposes rows between requests, and every consumer of
-        ``records`` reads post-run.
-        """
-        rows = self._pending_rows
-        if rows:
-            did = self.device_id
-            self._records.extend(
-                ExecutionRecord(did, r[0], r[1], r[2], r[3], r[4], r[5])
-                for r in rows
-            )
-            rows.clear()
-        return self._records
-
-    @records.setter
-    def records(self, value: List[ExecutionRecord]) -> None:
-        self._records = value
-        if self._pending_rows:
-            self._pending_rows.clear()
+        """Realized executions in dispatch order, built from the rows
+        on every read (a snapshot: later dispatches do not show up)."""
+        did = self.device_id
+        return [ExecutionRecord(did, *r) for r in self._rows]
 
     def record_columns(self) -> Tuple[List[float], List[float], List[float]]:
         """Parallel ``(start, end, power)`` lists of every realized
         execution — the power-timeline reader, which never needs the
         dataclass view."""
-        rows = self._pending_rows
-        if rows and not self._records:
-            return (
-                [r[2] for r in rows],
-                [r[3] for r in rows],
-                [r[4] for r in rows],
-            )
-        recs = self.records
-        return (
-            [r.start_ms for r in recs],
-            [r.end_ms for r in recs],
-            [r.power_w for r in recs],
-        )
+        rows = self._rows
+        return [r[2] for r in rows], [r[3] for r in rows], [r[4] for r in rows]
 
-    def adopt_row_store(self) -> List[list]:
-        """The engine's append target for this device's executions."""
-        if self._pending_rows is None:
-            self._pending_rows = []
-        return self._pending_rows
+    def _set_end(self, index: int, end_ms: float) -> None:
+        row = self._rows[index]
+        if type(row) is list:
+            row[3] = end_ms
+        else:
+            self._rows[index] = row[:3] + (end_ms,) + row[4:]
 
     # -- health ---------------------------------------------------------------
 
@@ -189,9 +155,9 @@ class AcceleratorInstance:
         self.health = DeviceHealth.FAILED
         self.failed_at_ms = now_ms
         self.failure_detected = False
-        for rec in self.records:
-            if rec.end_ms > now_ms:
-                rec.end_ms = max(rec.start_ms, now_ms)
+        for i, row in enumerate(self._rows):
+            if row[3] > now_ms:
+                self._set_end(i, max(row[2], now_ms))
         self._open_batches.clear()
         self.horizon_ms = min(self.horizon_ms, now_ms)
 
@@ -219,19 +185,17 @@ class AcceleratorInstance:
         """Cut short the just-reserved execution lost at ``fault_ms``:
         its record stops accruing power there and the device's timeline
         is wound back to what its surviving reservations need."""
-        for rec in reversed(self.records):
-            if (
-                rec.kernel_name == kernel_name
-                and rec.point_index == point_index
-                and rec.end_ms == end_ms
-            ):
-                rec.end_ms = max(rec.start_ms, min(rec.end_ms, fault_ms))
+        rows = self._rows
+        for i in range(len(rows) - 1, -1, -1):
+            row = rows[i]
+            if row[0] == kernel_name and row[1] == point_index and row[3] == end_ms:
+                self._set_end(i, max(row[2], min(row[3], fault_ms)))
                 break
         key = (kernel_name, point_index)
         batch = self._open_batches.get(key)
-        if batch is not None and batch.end_ms == end_ms:
+        if batch is not None and batch[1] == end_ms:
             del self._open_batches[key]
-        self.horizon_ms = max((r.end_ms for r in self.records), default=0.0)
+        self.horizon_ms = max((r[3] for r in rows), default=0.0)
 
     # -- dispatch -------------------------------------------------------------
 
@@ -262,13 +226,9 @@ class AcceleratorInstance:
         return self._dispatch_fpga(kernel_name, point, ready_ms, noise)
 
     def _joinable(self, key: Tuple[str, int], ready_ms: float):
-        """The open batch this execution could join, if any."""
+        """The open batch cell this execution could join, if any."""
         batch = self._open_batches.get(key)
-        if (
-            batch is not None
-            and batch.launch_ms >= ready_ms
-            and batch.size < MAX_GPU_BATCH
-        ):
+        if batch is not None and batch[0] >= ready_ms and batch[2] < MAX_GPU_BATCH:
             return batch
         return None
 
@@ -287,28 +247,23 @@ class AcceleratorInstance:
             # Growing the batch extends its end; any work already queued
             # behind it is pushed back by the same delta (approximation:
             # the already-recorded timestamps of that work are kept).
-            old_end = batch.end_ms
-            batch.size += 1
-            latency, power = self._latency_fn(kernel_name, point, batch.size)
-            batch.end_ms = batch.launch_ms + latency * batch.noise
-            batch.record.end_ms = batch.end_ms
-            batch.record.power_w = power
-            batch.record.batch = batch.size
-            self.horizon_ms = max(self.horizon_ms + (batch.end_ms - old_end),
-                                  batch.end_ms)
-            return batch.launch_ms, batch.end_ms
+            launch, old_end = batch[0], batch[1]
+            size = batch[2] + 1
+            latency, power = self._latency_fn(kernel_name, point, size)
+            end = launch + latency * batch[4]
+            batch[1], batch[2] = end, size
+            row = batch[3]
+            row[3], row[4], row[5] = end, power, size
+            self.horizon_ms = max(self.horizon_ms + (end - old_end), end)
+            return launch, end
 
         launch = max(self.horizon_ms, ready_ms + batch_window_ms)
         latency, power = self._latency_fn(kernel_name, point, 1)
         end = launch + latency * noise
-        record = ExecutionRecord(
-            self.device_id, kernel_name, point.index, launch, end, power, 1
-        )
-        self.records.append(record)
+        row = [kernel_name, point.index, launch, end, power, 1]
+        self._rows.append(row)
         self.horizon_ms = end
-        self._open_batches[key] = _OpenBatch(
-            kernel_name, point, launch, end, 1, record, noise
-        )
+        self._open_batches[key] = [launch, end, 1, row, noise]
         return launch, end
 
     def _dispatch_fpga(
@@ -323,11 +278,7 @@ class AcceleratorInstance:
         self.loaded_impl = impl_key
         latency, power = self._latency_fn(kernel_name, point, 1)
         end = start + latency * noise
-        self.records.append(
-            ExecutionRecord(
-                self.device_id, kernel_name, point.index, start, end, power, 1
-            )
-        )
+        self._rows.append((kernel_name, point.index, start, end, power, 1))
         self.horizon_ms = end
         return start, end
 
@@ -340,8 +291,8 @@ class AcceleratorInstance:
         if self.device_type == DeviceType.GPU:
             batch = self._joinable(impl_key, ready_ms)
             if batch is not None:
-                latency, _ = self._latency_fn(kernel_name, point, batch.size + 1)
-                return batch.launch_ms + latency
+                latency, _ = self._latency_fn(kernel_name, point, batch[2] + 1)
+                return batch[0] + latency
         latency, _ = self._latency_fn(kernel_name, point, 1)
         return self.effective_start(ready_ms, impl_key) + latency
 
@@ -350,7 +301,7 @@ class AcceleratorInstance:
         return max(self.horizon_ms - now_ms, 0.0)
 
     def busy_ms_total(self) -> float:
-        return sum(r.end_ms - r.start_ms for r in self.records)
+        return sum(r[3] - r[2] for r in self._rows)
 
 
 @dataclass
@@ -426,11 +377,12 @@ class LeafNode:
             plan_cache.bind_invalidation(self)
         self.monitor = SystemMonitor()
         self._rng = np.random.default_rng(seed)
-        #: The event engine's buffered log-normal noise draws, kept here
-        #: between engine sessions.  numpy's ``lognormal(size=N)`` yields
-        #: the bit-identical sequence to N scalar draws, so the engine's
-        #: buffered stream equals :meth:`_execute_kernel`'s scalar one.
-        self._noise_buf = np.empty(0)
+        #: Buffered log-normal execution noise, drawn ``NOISE_BLOCK`` at
+        #: a time and shared by both request paths: the engine's
+        #: dispatch program and :meth:`_execute_kernel` consume the same
+        #: buffer through the same cursor, so the noise stream does not
+        #: depend on which path ran which request.
+        self._noise_buf: List[float] = []
         self._noise_pos = 0
         self._models = {spec.name: model_for(spec) for spec in system.platforms}
         self._kernels = {k.name: k for k in app.kernels}
@@ -914,18 +866,32 @@ class LeafNode:
                 arrival_ms, arrival_ms, self._plan_makespan_ms, dropped=True
             )
 
-        ends: Dict[str, Tuple[float, str]] = {}  # kernel -> (end, device_id)
+        return self._finish_request(arrival_ms, 0, {})
+
+    def _finish_request(
+        self,
+        arrival_ms: float,
+        first: int,
+        ends: Dict[str, Tuple[float, str]],
+    ) -> RequestRecord:
+        """Realize an admitted request's kernels from topological index
+        ``first`` on and complete it.  ``ends`` maps each kernel already
+        realized to its ``(end, device_id)`` — empty from :meth:`submit`,
+        the engine's partial state when it hands a request over mid-way
+        (its dispatch program stops short of a kernel a fault may
+        reach)."""
+        tr = self.tracer
         retries = 0
         try:
             if self._injector is not None:
-                for name in self._topo_order:
+                for name in self._topo_order[first:]:
                     end, device_id, used = self._execute_kernel_resilient(
                         name, ends, arrival_ms
                     )
                     retries += used
                     ends[name] = (end, device_id)
             else:
-                for name in self._topo_order:
+                for name in self._topo_order[first:]:
                     device, _, _, end = self._execute_kernel(
                         name, ends, arrival_ms
                     )
@@ -998,7 +964,14 @@ class LeafNode:
             ready = max(ready, pred_end)
         if floor_ms > ready:
             ready = floor_ms
-        noise = float(self._rng.lognormal(0.0, NOISE_SIGMA))
+        pos = self._noise_pos
+        if pos >= len(self._noise_buf):
+            self._noise_buf = self._rng.lognormal(
+                0.0, NOISE_SIGMA, NOISE_BLOCK
+            ).tolist()
+            pos = 0
+        noise = self._noise_buf[pos]
+        self._noise_pos = pos + 1
         if device.slowdown != 1.0:
             noise *= device.slowdown
         start, end = device.dispatch(

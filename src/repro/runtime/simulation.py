@@ -160,13 +160,17 @@ def run_simulation(
     realized here through its own seed.  An empty stream yields a
     zero-request result over one idle power bin.
 
-    The run goes through :class:`repro.runtime.engine.EventHeapEngine`:
-    fault-free runs (traced or not) replay the stream through the
-    compiled dispatch program; fault-injected runs hand each arrival,
-    in order, to ``LeafNode.submit``, the per-request reference path.
-    Seeded runs are float-identical across the two (golden-tested: an
-    empty ``FaultSchedule`` takes the per-request path without changing
-    a float or a trace event).
+    The run goes through :class:`repro.runtime.engine.EventHeapEngine`,
+    which replays the stream through the compiled dispatch program,
+    traced or not, with or without faults.  On a fault-injected node
+    the engine hands a request to the per-request path
+    (``LeafNode.submit`` or its kernel loop) only where a fault can
+    reach it: the first arrival at or after each state-changing
+    schedule event, the arrival that detects a lapsed heartbeat,
+    sheddable priorities while a device is quarantined, and a request
+    whose next dispatch the injector would fail.  Seeded runs are
+    float-identical to ``LeafNode.submit`` driven by hand per arrival
+    (golden-tested, chaos and traced runs included).
     """
     if isinstance(arrivals_ms, ArrivalSpec):
         arrivals_ms = arrivals_ms.generate()
@@ -198,7 +202,25 @@ def run_simulation(
     if priorities is not None and len(priorities) != len(ordered):
         raise ValueError("priorities must match the arrival stream length")
     requests = EventHeapEngine(node).run(ordered, priorities=priorities)
+    return assemble_result(
+        node, injector, ordered, requests, bin_ms, warmup_frac, tracer, metrics
+    )
 
+
+def assemble_result(
+    node: LeafNode,
+    injector: Optional[FaultInjector],
+    ordered: Sequence[float],
+    requests: List[RequestRecord],
+    bin_ms: float,
+    warmup_frac: float,
+    tracer=None,
+    metrics=None,
+) -> SimulationResult:
+    """The :class:`SimulationResult` of a finished run of ``node`` over
+    the sorted stream ``ordered``: power timeline, fault report and
+    the post-run observability outputs (``kernel.exec`` spans, run
+    metrics)."""
     # Latency statistics run to the last completion; power is accounted
     # over the *offered-load* window only — in overload the post-arrival
     # drain is not part of "power at load L" (a saturated system keeps
@@ -210,8 +232,8 @@ def run_simulation(
     duration_ms = max([last_ms] + [r.completion_ms for r in requests])
     power = _power_timeline(node, arrival_span_ms, bin_ms)
     result = SimulationResult(
-        system=system.codename,
-        app=app.name,
+        system=node.system.codename,
+        app=node.app.name,
         duration_ms=duration_ms,
         requests=requests,
         power_bins_w=power,

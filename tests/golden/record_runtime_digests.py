@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -41,16 +42,19 @@ from repro.faults import FaultSchedule
 from repro.obs import SamplingPolicy, SpanTracer, sample_events
 from repro.scheduler import SchedulePlanCache
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from reference import reference_run  # noqa: E402  (tests/reference.py)
+
 DIGEST_PATH = Path(__file__).with_name("runtime_digests.json")
 
 APPS = ("ASR", "CS", "FQT", "IR", "MF", "WT")
 SINGLE_MODES = ("fault_free", "plan_cached", "chaos", "traced", "sampled")
 FLEET_MODES = ("fault_free", "chaos", "traced")
 #: Request paths a single-node case runs on: ``"legacy"`` is the
-#: per-request reference, ``LeafNode.submit`` per arrival (reached
-#: through an empty fault schedule, which delegates every arrival to
-#: the node and injects nothing); ``"event"`` is the engine's compiled
-#: dispatch program.  Chaos cases delegate on both.
+#: per-request reference, ``LeafNode.submit`` driven by hand per arrival
+#: (``tests/reference.py``); ``"event"`` is ``run_simulation``, the
+#: engine's compiled dispatch program (with handovers to the node where
+#: a fault reaches a request).
 PATHS = ("legacy", "event")
 
 #: Single-node stream: Poisson at RATE_RPS for DURATION_MS, seeded.
@@ -126,11 +130,8 @@ def single_node_digest(name: str, mode: str, path: str) -> str:
         tracer = kw["tracer"] = SpanTracer()
     elif mode != "fault_free":
         raise ValueError(f"unknown mode {mode!r}")
-    if path == "legacy" and mode != "chaos":
-        kw["faults"] = FaultSchedule()
-    result = runtime.run_simulation(
-        system, app, spaces, arrivals, seed=SEED, **kw
-    )
+    run = reference_run if path == "legacy" else runtime.run_simulation
+    result = run(system, app, spaces, arrivals, seed=SEED, **kw)
     lines = list(_request_lines(result.requests))
     lines += [repr(float(w)) for w in result.power_bins_w]
     if mode == "chaos":

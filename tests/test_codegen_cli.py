@@ -197,6 +197,22 @@ class TestCLIErrorContract:
             (["obs", "asr", "--sample-rate", "2"], "--sample-rate"),
             (["cluster", "--trace", "--sample-rate", "-1"], "--sample-rate"),
             (["cluster", "--trace", "--sample-rate", "2"], "--sample-rate"),
+            (["faults", "--mtbf-ms", "0"], "--mtbf-ms"),
+            (["faults", "--mtbf-ms", "nan"], "--mtbf-ms"),
+            (["faults", "--mtbf-ms", "-5"], "--mtbf-ms"),
+            (["faults", "--mtbf-ms", "500", "--mttr-ms", "0"], "--mttr-ms"),
+            (["faults", "--mtbf-ms", "500", "--mttr-ms", "inf"], "--mttr-ms"),
+            (["cluster", "--peak-rps", "-5"], "--peak-rps"),
+            (["cluster", "--peak-rps", "0"], "--peak-rps"),
+            (["cluster", "--peak-factor", "0"], "--peak-factor"),
+            (["cluster", "--peak-factor", "nan"], "--peak-factor"),
+            (["cluster", "--eval-ms", "0"], "--eval-ms"),
+            (["cluster", "--warmup-ms", "-1"], "--warmup-ms"),
+            (["cluster", "--up-util", "2"], "--up-util"),
+            (["cluster", "--down-util", "-0.1"], "--down-util"),
+            (["cluster", "--target-util", "nan"], "--target-util"),
+            (["cluster", "--min-nodes", "-1"], "--min-nodes"),
+            (["cluster", "--max-nodes", "0"], "--max-nodes"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else "",
     )
@@ -215,6 +231,12 @@ class TestCLIErrorContract:
         )
         assert (args.app, args.sample_rate, args.sample_top_k) == ("WT", 0.0, 0)
         assert parser.parse_args(["cluster", "--sample-rate", "1"]).app == "ASR"
+        args = parser.parse_args(
+            ["cluster", "--warmup-ms", "0", "--min-nodes", "0", "--up-util", "1"]
+        )
+        assert (args.warmup_ms, args.min_nodes, args.up_util) == (0.0, 0, 1.0)
+        args = parser.parse_args(["faults", "--mtbf-ms", "250", "--mttr-ms", "1e3"])
+        assert (args.mtbf_ms, args.mttr_ms) == (250.0, 1000.0)
 
     def test_simulate_zero_rate_is_empty_result(self, capsys):
         assert main(["simulate", "asr", "0", "--ms", "500"]) == 0

@@ -1,20 +1,21 @@
 """Simulation engine: A/B identity vs. the per-request path, the
 ordering guard and ArrivalSpec.
 
-The contract: a fault-free seeded run (the compiled dispatch program)
-is float-identical to the per-request path, ``LeafNode.submit`` per
-arrival — same request latencies, same power bins, same obs event
-stream.  The reference run attaches an empty ``FaultSchedule``: an
-injector makes the engine delegate every arrival to the node, and an
-empty schedule injects nothing.  The checked-in digests of
+The contract: a seeded run (the compiled dispatch program, handing
+fault-touched requests to the node) is float-identical to the
+per-request path, ``LeafNode.submit`` driven by hand per arrival
+(``tests/reference.py``) — same request latencies, same power bins,
+same obs event stream, same fault report.  The checked-in digests of
 ``tests/test_golden_digests.py`` pin both paths (and the fleet driver)
 to recorded values; the A/B tests here cover extra shapes (homogeneous
-systems, overload, bursty streams) and node state.
+systems, overload, bursty streams), node state and how few requests a
+chaos run hands over.
 """
 
 import numpy as np
 import pytest
 
+from reference import reference_run
 from repro import apps as apps_mod
 from repro import runtime
 from repro.faults import FaultSchedule
@@ -52,6 +53,20 @@ def request_sig(result):
     ]
 
 
+def full_sig(result):
+    return [
+        (
+            r.arrival_ms,
+            r.completion_ms,
+            r.predicted_ms,
+            r.retries,
+            r.dropped,
+            r.failed,
+        )
+        for r in result.requests
+    ]
+
+
 def node_sig(result):
     node = result.node
     mon = node.monitor
@@ -76,11 +91,8 @@ def node_sig(result):
 
 
 def reference(app, system, spaces, arrivals, **kw):
-    """The per-request path: an empty fault schedule delegates every
-    arrival to ``LeafNode.submit`` and injects nothing."""
-    return run_simulation(
-        system, app, spaces, arrivals, faults=FaultSchedule(), **kw
-    )
+    """The per-request path: ``LeafNode.submit`` per arrival."""
+    return reference_run(system, app, spaces, arrivals, **kw)
 
 
 def ab(app, system, spaces, arrivals, **kw):
@@ -251,12 +263,10 @@ class TestGoldenFaultFree:
 
 class TestGoldenChaos:
     def test_chaos_identity(self, asr):
-        """Chaos runs delegate arrivals to the node (the injector owns
-        retries/failover), so the whole result must match a hand-driven
-        ``LeafNode.submit`` loop exactly."""
-        from repro.faults import FaultInjector
-        from repro.runtime.simulation import _power_timeline
-
+        """A chaos run stays on the dispatch program and hands only
+        fault-touched requests to the node; the whole result — records
+        with their retry/shed/failed flags, power, fault report and node
+        state — must match ``LeafNode.submit`` driven by hand."""
         app, system, spaces = asr
         arrivals = poisson_arrivals(
             60.0, 4_000.0, rng=np.random.default_rng(8)
@@ -264,21 +274,11 @@ class TestGoldenChaos:
         faults = FaultSchedule.single_crash(
             "fpga0", at_ms=1_000.0, recover_at_ms=2_500.0
         )
-        event = run_simulation(
-            system, app, spaces, arrivals, seed=8, faults=faults
-        )
-        node = LeafNode(system, app, spaces, seed=8)
-        injector = FaultInjector(faults)
-        injector.bind(node)
-        submitted = [node.submit(t) for t in sorted(arrivals)]
-        assert [
-            (r.arrival_ms, r.completion_ms, r.predicted_ms, r.served)
-            for r in submitted
-        ] == request_sig(event)
-        assert _power_timeline(
-            node, max(arrivals[-1], event.bin_ms), event.bin_ms
-        ).tolist() == event.power_bins_w.tolist()
-        assert injector.report.summary() == event.faults.summary()
+        ref, event = ab(app, system, spaces, arrivals, seed=8, faults=faults)
+        assert full_sig(ref) == full_sig(event)
+        assert ref.power_bins_w.tolist() == event.power_bins_w.tolist()
+        assert node_sig(ref) == node_sig(event)
+        assert ref.faults.summary() == event.faults.summary()
 
     def test_traced_identity(self, asr):
         from repro.obs import SpanTracer
@@ -287,19 +287,92 @@ class TestGoldenChaos:
         arrivals = poisson_arrivals(
             40.0, 2_000.0, rng=np.random.default_rng(5)
         )
-        tracers = []
-        for faults in (FaultSchedule(), None):
-            tracer = SpanTracer()
-            run_simulation(
-                system, app, spaces, arrivals, seed=5, faults=faults,
-                tracer=tracer,
-            )
-            tracers.append(tracer)
-        a, b = tracers
-        assert len(a.events) == len(b.events)
-        assert [e.to_dict() for e in a.events] == [
-            e.to_dict() for e in b.events
-        ]
+        faults = FaultSchedule.single_crash(
+            "gpu0", at_ms=600.0, recover_at_ms=1_400.0
+        )
+        for schedule in (None, faults):
+            tracers = []
+            for run in (reference, run_simulation):
+                tracer = SpanTracer()
+                kw = {} if schedule is None else {"faults": schedule}
+                if run is reference:
+                    run(app, system, spaces, arrivals, seed=5, tracer=tracer, **kw)
+                else:
+                    run(system, app, spaces, arrivals, seed=5, tracer=tracer, **kw)
+                tracers.append(tracer)
+            a, b = tracers
+            assert len(a.events) == len(b.events)
+            assert [e.to_dict() for e in a.events] == [
+                e.to_dict() for e in b.events
+            ]
+
+
+class TestHandovers:
+    """How many requests a chaos run hands to ``LeafNode``: read from
+    the engine's ``handovers`` counter, never a setting."""
+
+    @staticmethod
+    def _engine(app, system, spaces, arrivals, faults, seed):
+        from repro.faults import FaultInjector
+
+        node = LeafNode(system, app, spaces, seed=seed)
+        FaultInjector(faults).bind(node)
+        engine = EventHeapEngine(node)
+        engine.run(sorted(arrivals))
+        return engine
+
+    def test_golden_chaos_hands_over_only_faulted_and_cut_requests(self):
+        """The golden ASR chaos case (``tests/golden``): its schedule is
+        harsh — about a third of the requests lose an execution — so the
+        bound is structural: every handed-over request either had a
+        fault reach it (a retry, a failure or a shed) or arrived at a
+        cut point (a state-changing schedule event or a heartbeat
+        detection).  Full delegation hands over all 195 arrivals and
+        fails this."""
+        import importlib.util
+        from pathlib import Path
+
+        from repro.faults import FaultKind
+
+        path = Path(__file__).parent / "golden" / "record_runtime_digests.py"
+        spec = importlib.util.spec_from_file_location("golden_rec", path)
+        rec = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(rec)
+        app, system, spaces = rec.app_env("ASR")
+        arrivals = runtime.poisson_arrivals(
+            rec.RATE_RPS, rec.DURATION_MS, rng=np.random.default_rng(rec.SEED)
+        )
+        faults = rec._chaos_schedule(
+            [d for d, _ in system.device_inventory()], rec.DURATION_MS, rec.SEED
+        )
+        engine = self._engine(app, system, spaces, arrivals, faults, rec.SEED)
+        records = engine.records()
+        faulted = sum(1 for r in records if r.retries or not r.served)
+        cuts = sum(1 for e in faults if e.kind != FaultKind.TRANSIENT)
+        detections = len(engine._node._planner.recoveries)
+        assert 0 < engine.handovers <= faulted + cuts + detections
+        assert engine.handovers < 0.5 * len(records)
+
+    def test_light_faults_hand_over_at_most_a_tenth(self, asr):
+        """The benchmark's fault shape (per-device MTBF 60 s, MTTR 5 s)
+        on ASR for a minute below saturation: at most 10% of arrivals
+        take the per-request path (about 1% do: three crashes, two
+        recoveries, their detections and the few requests that lose an
+        execution)."""
+        app, system, spaces = asr
+        arrivals = poisson_arrivals(
+            40.0, 60_000.0, rng=np.random.default_rng(4)
+        )
+        faults = FaultSchedule.from_mtbf(
+            [d for d, _ in system.device_inventory()],
+            duration_ms=60_000.0,
+            mtbf_ms=60_000.0,
+            mttr_ms=5_000.0,
+            seed=4,
+        )
+        assert faults.crashes()
+        engine = self._engine(app, system, spaces, arrivals, faults, 4)
+        assert 0 < engine.handovers <= 0.10 * len(arrivals)
 
 
 class TestClusterGolden:

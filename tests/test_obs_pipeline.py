@@ -3,10 +3,10 @@ sampling, the windowed time-series/SLO layer, and the OBS002 lint gate.
 
 Contracts under test:
 
-* **Native tracing stays on the fast path** — an enabled tracer no
-  longer delegates the event engine to the per-arrival loop (the traced
-  cluster replay, ``trace_nodes=True``, is pinned by a golden digest in
-  ``tests/test_golden_digests.py``).
+* **Native tracing stays on the fast path** — neither an enabled tracer
+  nor a fault injector sends every arrival to the per-request loop (the
+  traced cluster replay, ``trace_nodes=True``, is pinned by a golden
+  digest in ``tests/test_golden_digests.py``).
 * **Sampling is a pure post-hoc pass** — head/tail decisions consume
   zero simulation RNG, so sampled and unsampled runs are
   float-identical; decisions are deterministic in (seed, req).
@@ -77,18 +77,33 @@ class TestTracedEngineNotDelegated:
         node = LeafNode(system, app, spaces, seed=3, tracer=SpanTracer())
         engine = EventHeapEngine(node)
         assert node.tracer.enabled
-        assert engine.delegated is False
+        engine.run(sorted(_arrivals()))
+        assert engine.handovers == 0
 
-    def test_injector_still_delegates(self, asr):
+    def test_injector_runs_natively(self, asr):
+        """A fault injector does not push a traced node off the compiled
+        program either: only fault-touched requests are handed to the
+        node, and the stream equals the per-request one."""
+        from reference import reference_run
+
         app, system, spaces = asr
-        node = LeafNode(system, app, spaces, seed=3, tracer=SpanTracer())
-        injector = FaultInjector(
-            FaultSchedule.single_crash(
-                "fpga0", at_ms=500.0, recover_at_ms=900.0
-            )
+        faults = FaultSchedule.single_crash(
+            "fpga0", at_ms=500.0, recover_at_ms=900.0
         )
-        injector.bind(node)
-        assert EventHeapEngine(node).delegated is True
+        arrivals = _arrivals()
+        tracer = SpanTracer()
+        node = LeafNode(system, app, spaces, seed=3, tracer=tracer)
+        FaultInjector(faults).bind(node)
+        engine = EventHeapEngine(node)
+        engine.run(sorted(arrivals))
+        assert 0 < engine.handovers < len(arrivals) / 10
+        ref = SpanTracer()
+        reference_run(
+            system, app, spaces, arrivals, seed=3, faults=faults, tracer=ref
+        )
+        assert [e.to_dict() for e in tracer.events] == [
+            e.to_dict() for e in ref.events if e.kind != "kernel.exec"
+        ]
 
     def test_traced_event_run_emits_native_stream(self, asr):
         result, tracer = _traced_run(asr, _arrivals())

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import synthetic_space
+from reference import reference_run
+from repro.faults import FaultKind
 from repro.hardware import AMD_W9100, GPUModel, ImplConfig, PCIeLink, XILINX_7V3, FPGAModel
 from repro.hardware.specs import DeviceType
 from repro.optim import pareto_front
@@ -239,6 +241,21 @@ def _fpga_overlaps(node):
 _apps = st.sampled_from(("ASR", "CS", "FQT", "IR", "MF", "WT"))
 
 
+#: Random fault schedules over a 1.2 s stream: any mix of crashes (a
+#: crash without a later recovery never recovers), recoveries,
+#: transients and slowdowns on any device (index modulo the inventory),
+#: as (time, kind, device index, slowdown magnitude).
+_fault_events = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1_200.0),
+        st.sampled_from(list(FaultKind)),
+        st.integers(min_value=0, max_value=7),
+        st.floats(min_value=1.0, max_value=3.0),
+    ),
+    max_size=14,
+)
+
+
 class TestEngineBoundaryProperties:
     """DESIGN.md §6 invariants at the ``run_simulation`` boundary.
 
@@ -256,7 +273,6 @@ class TestEngineBoundaryProperties:
     def test_fault_free_stream(self, app, rps, seed):
         import numpy as np
 
-        from repro.faults import FaultSchedule
         from repro.runtime import poisson_arrivals, run_simulation
 
         app_, system, spaces = _serving_env(app)
@@ -270,12 +286,8 @@ class TestEngineBoundaryProperties:
         assert all(r.completion_ms >= r.arrival_ms for r in event.requests)
         assert all(r.served for r in event.requests)
         assert _fpga_overlaps(event.node) == []
-        # The per-request path: an empty fault schedule delegates every
-        # arrival to ``LeafNode.submit`` and injects nothing.
-        ref = run_simulation(
-            system, app_, spaces, arrivals, seed=seed,
-            faults=FaultSchedule(),
-        )
+        # The per-request path: ``LeafNode.submit`` per arrival.
+        ref = reference_run(system, app_, spaces, arrivals, seed=seed)
         assert _request_rows(ref) == _request_rows(event)
         assert ref.power_bins_w.tolist() == event.power_bins_w.tolist()
 
@@ -289,8 +301,8 @@ class TestEngineBoundaryProperties:
     def test_chaos_stream_conserves_requests(self, app, rps, seed, mtbf_ms):
         import numpy as np
 
-        from repro.faults import FaultInjector, FaultSchedule
-        from repro.runtime import LeafNode, poisson_arrivals, run_simulation
+        from repro.faults import FaultSchedule
+        from repro.runtime import poisson_arrivals, run_simulation
 
         app_, system, spaces = _serving_env(app)
         arrivals = poisson_arrivals(
@@ -322,18 +334,75 @@ class TestEngineBoundaryProperties:
         report = event.faults
         assert (report.shed, report.failed_requests) == (shed, failed)
         assert _fpga_overlaps(event.node) == []
-        # Chaos runs delegate each arrival to the node: a hand-driven
-        # ``LeafNode.submit`` loop is the reference.
-        node = LeafNode(system, app_, spaces, seed=seed)
-        injector = FaultInjector(faults)
-        injector.bind(node)
-        ref = [
-            node.submit(t, priority=p)
-            for t, p in zip(sorted(arrivals), priorities)
-        ]
-        assert _rows(ref) == _request_rows(event)
+        # The reference: ``LeafNode.submit`` per arrival, same injector.
+        ref = reference_run(
+            system, app_, spaces, arrivals, seed=seed, faults=faults,
+            priorities=priorities,
+        )
+        assert _request_rows(ref) == _request_rows(event)
         # repr: an episode-free run's mean recovery time is NaN.
-        assert repr(injector.report.summary()) == repr(report.summary())
+        assert repr(ref.faults.summary()) == repr(report.summary())
+
+    @given(
+        app=_apps,
+        rps=st.floats(min_value=10.0, max_value=150.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+        events=_fault_events,
+        low_prio_frac=st.floats(min_value=0.0, max_value=1.0),
+        traced=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_native_faults_match_submit(
+        self, app, rps, seed, events, low_prio_frac, traced
+    ):
+        """Native fault handling equals the hand-driven ``submit`` loop
+        on random schedules: crashes (some never recovered), recoveries,
+        transients and slowdowns, with priorities drawn on both sides of
+        ``FailoverPlanner.MAX_SHED``.  Records, power bins, the
+        resilience report and, when traced, the JSONL stream agree."""
+        import json
+
+        import numpy as np
+
+        from repro.faults import FailoverPlanner, FaultEvent, FaultSchedule
+        from repro.obs import SpanTracer
+        from repro.runtime import poisson_arrivals, run_simulation
+
+        app_, system, spaces = _serving_env(app)
+        devices = [d for d, _ in system.device_inventory()]
+        arrivals = poisson_arrivals(
+            rps, 1_200.0, rng=np.random.default_rng(seed)
+        )
+        assume(arrivals)
+        faults = FaultSchedule(
+            FaultEvent(t, kind, devices[d % len(devices)], magnitude)
+            for t, kind, d, magnitude in events
+        )
+        rng = np.random.default_rng(seed + 1)
+        priorities = [
+            float(rng.uniform(0.0, FailoverPlanner.MAX_SHED))
+            if rng.random() < low_prio_frac
+            else float(rng.uniform(FailoverPlanner.MAX_SHED, 1.0))
+            for _ in arrivals
+        ]
+        runs = []
+        for run in (reference_run, run_simulation):
+            tracer = SpanTracer() if traced else None
+            result = run(
+                system, app_, spaces, arrivals, seed=seed, faults=faults,
+                priorities=priorities, tracer=tracer,
+            )
+            runs.append((result, tracer))
+        (ref, ref_tr), (event, event_tr) = runs
+        assert _request_rows(ref) == _request_rows(event)
+        assert ref.power_bins_w.tolist() == event.power_bins_w.tolist()
+        assert repr(ref.faults.summary()) == repr(event.faults.summary())
+        if traced:
+            assert [
+                json.dumps(e.to_dict(), sort_keys=True) for e in ref_tr.events
+            ] == [
+                json.dumps(e.to_dict(), sort_keys=True) for e in event_tr.events
+            ]
 
 
 class TestEnergyStepProperties:
